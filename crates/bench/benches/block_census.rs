@@ -6,7 +6,7 @@
 fn main() {
     println!("Section 6.1 — basic-block census");
     println!(
-        "{:<14} {:>10} {:>8} {:>9} {:>12} {:>12} {:>8} {:>8} {:>11} {:>9}",
+        "{:<14} {:>10} {:>8} {:>9} {:>12} {:>12} {:>8} {:>8}",
         "workload",
         "text(ins)",
         "static",
@@ -14,14 +14,12 @@ fn main() {
         "block-execs",
         "instructions",
         "blk-avg",
-        "blk-max",
-        "chain-hits",
-        "chain-miss"
+        "blk-max"
     );
-    cimon_bench::print_rule(110);
+    cimon_bench::print_rule(89);
     for r in cimon_bench::block_census() {
         println!(
-            "{:<14} {:>10} {:>8} {:>9} {:>12} {:>12} {:>8.2} {:>8} {:>11} {:>9}",
+            "{:<14} {:>10} {:>8} {:>9} {:>12} {:>12} {:>8.2} {:>8}",
             r.workload,
             r.text_instructions,
             r.static_blocks,
@@ -29,15 +27,11 @@ fn main() {
             r.block_executions,
             r.instructions,
             r.block_mean,
-            r.block_max,
-            r.chain_hits,
-            r.chain_misses
+            r.block_max
         );
     }
     println!("\nShape checks (paper: stringsearch 25, susan 93 executed blocks): counts");
     println!("spread widely across the suite with stringsearch's flat code the largest");
     println!("block population and the loop kernels the smallest. blk-avg/blk-max are");
-    println!("the dispatcher's superblock lengths: what one `step_block` retires;");
-    println!("chain-hits/chain-miss count dispatches entered through a cached");
-    println!("successor edge versus ones that fell back to the block-cache lookup.");
+    println!("the dispatcher's superblock lengths: what one `step_block` retires.");
 }

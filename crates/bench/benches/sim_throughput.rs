@@ -28,10 +28,8 @@ fn main() {
     for (mode, mips) in [
         ("baseline", t.baseline_mips),
         ("baseline-instr", t.baseline_instr_mips),
-        ("baseline-nochain", t.baseline_nochain_mips),
         ("cic8", t.monitored_mips),
         ("cic8-instr", t.monitored_instr_mips),
-        ("cic8-nochain", t.monitored_nochain_mips),
     ] {
         println!("{:<14} {:>15} {:>41.2}", "aggregate", mode, mips);
     }
@@ -39,11 +37,6 @@ fn main() {
         "\nblock-dispatch speedup: baseline {:.2}x, cic8 {:.2}x",
         t.baseline_mips / t.baseline_instr_mips.max(1e-9),
         t.monitored_mips / t.monitored_instr_mips.max(1e-9),
-    );
-    println!(
-        "superblock-chain speedup: baseline {:.2}x, cic8 {:.2}x",
-        t.baseline_mips / t.baseline_nochain_mips.max(1e-9),
-        t.monitored_mips / t.monitored_nochain_mips.max(1e-9),
     );
     let json = cimon_bench::report::throughput_to_json(&t.rows);
     match std::fs::write("BENCH_throughput.json", &json) {

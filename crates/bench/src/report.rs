@@ -164,20 +164,7 @@ pub fn throughput_to_json(rows: &[crate::ThroughputRow]) -> String {
 /// crates exist in this environment); rows missing a field or using an
 /// unknown mode are reported as errors.
 pub fn throughput_from_json(json: &str) -> Result<Vec<crate::ThroughputRow>, String> {
-    const MODES: [&str; 12] = [
-        "baseline",
-        "baseline-instr",
-        "baseline-nochain",
-        "cic8",
-        "cic8-instr",
-        "cic8-nochain",
-        "splice-serial",
-        "splice-w1",
-        "splice-w2",
-        "splice-w4",
-        "splice-w8",
-        "splice-disk",
-    ];
+    const MODES: [&str; 4] = ["baseline", "baseline-instr", "cic8", "cic8-instr"];
 
     fn field<'a>(obj: &'a str, name: &str) -> Result<&'a str, String> {
         let tag = format!("\"{name}\":");

@@ -217,7 +217,7 @@ impl Cic {
 
     /// Serialize the complete monitoring-hardware run state — config,
     /// mid-block hash unit, table, and statistics — for checkpoint
-    /// spill. Inverse of [`Cic::decode_from`].
+    /// serialization. Inverse of [`Cic::decode_from`].
     pub fn encode_into(&self, e: &mut Enc) {
         e.usize(self.config.iht_entries);
         encode_kind(self.config.hash_algo, e);

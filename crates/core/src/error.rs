@@ -1,7 +1,7 @@
 //! Typed error taxonomy for the whole simulation stack.
 //!
 //! Every layer above `cimon-core` — the assembler, the hash generator,
-//! the pipeline, the experiment engine, the splice scheduler, and the
+//! the pipeline, the experiment engine, the serving layer, and the
 //! fault campaigns — reports recoverable failures through one enum so
 //! callers match on a single type instead of a per-crate zoo. The
 //! variants mirror the failure domains of the harness itself rather
@@ -50,7 +50,7 @@ pub enum SimError {
     },
     /// A worker thread panicked; the panic was caught and localised.
     WorkerPanic {
-        /// Which pool the worker belonged to (`"sweep"`, `"splice"`, ...).
+        /// Which pool the worker belonged to (`"sweep"`, `"campaign"`, ...).
         site: &'static str,
         /// Downcast panic payload, or a placeholder for non-string payloads.
         message: String,
@@ -102,13 +102,6 @@ pub enum SimError {
         /// Human-readable mismatch diagnostic.
         message: String,
     },
-    /// The durable checkpoint store failed an I/O operation (creating,
-    /// writing, or scanning a spill segment). Transient — the work is
-    /// recomputable, and a retry may find the disk healthy again.
-    CheckpointSpill {
-        /// Rendered store diagnostic.
-        message: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -143,9 +136,6 @@ impl fmt::Display for SimError {
             SimError::Protocol { message } => write!(f, "protocol error: {message}"),
             SimError::Io { message } => write!(f, "i/o error: {message}"),
             SimError::ResumeMismatch { message } => write!(f, "resume mismatch: {message}"),
-            SimError::CheckpointSpill { message } => {
-                write!(f, "checkpoint spill failed: {message}")
-            }
         }
     }
 }
@@ -171,7 +161,6 @@ impl SimError {
             SimError::Protocol { .. } => "protocol",
             SimError::Io { .. } => "io",
             SimError::ResumeMismatch { .. } => "resume-mismatch",
-            SimError::CheckpointSpill { .. } => "checkpoint-spill",
         }
     }
 
@@ -179,7 +168,7 @@ impl SimError {
     /// order. Report writers and the serve journal key on these tags,
     /// so the list is pinned by a golden test: adding a variant without
     /// extending it (and the journal round-trip) fails loudly.
-    pub const KINDS: [&'static str; 15] = [
+    pub const KINDS: [&'static str; 14] = [
         "assembly",
         "hash-gen",
         "decode",
@@ -194,7 +183,6 @@ impl SimError {
         "protocol",
         "io",
         "resume-mismatch",
-        "checkpoint-spill",
     ];
 
     /// Whether a retry could plausibly succeed: transient failures
@@ -205,10 +193,7 @@ impl SimError {
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            SimError::WorkerPanic { .. }
-                | SimError::SnapshotCorrupt { .. }
-                | SimError::Io { .. }
-                | SimError::CheckpointSpill { .. }
+            SimError::WorkerPanic { .. } | SimError::SnapshotCorrupt { .. } | SimError::Io { .. }
         )
     }
 
@@ -230,9 +215,8 @@ impl SimError {
         /// data naming a pool this build does not know degrades to a
         /// recognizable placeholder instead of failing the whole row.
         fn intern_site(site: &str) -> &'static str {
-            const SITES: [&str; 8] = [
+            const SITES: [&str; 7] = [
                 "sweep",
-                "splice",
                 "campaign",
                 "campaign-rehash",
                 "parallel-map",
@@ -313,9 +297,6 @@ impl SimError {
             "resume-mismatch" => Some(SimError::ResumeMismatch {
                 message: tail(rendered, "resume mismatch: ")?.to_string(),
             }),
-            "checkpoint-spill" => Some(SimError::CheckpointSpill {
-                message: tail(rendered, "checkpoint spill failed: ")?.to_string(),
-            }),
             _ => None,
         }
     }
@@ -395,9 +376,6 @@ mod tests {
             SimError::ResumeMismatch {
                 message: "unknown request key 00000000deadbeef".into(),
             },
-            SimError::CheckpointSpill {
-                message: "scan failed: no space left on device".into(),
-            },
         ]
     }
 
@@ -443,8 +421,7 @@ mod tests {
 
     #[test]
     fn transience_matches_the_retry_contract() {
-        // WorkerPanic / SnapshotCorrupt / Io / CheckpointSpill retry
-        // once; InvalidConfig, ResumeMismatch (and every other
+        // WorkerPanic / SnapshotCorrupt / Io retry once; InvalidConfig, ResumeMismatch (and every other
         // deterministic rejection) never.
         for e in exemplars() {
             let expect = matches!(
@@ -452,7 +429,6 @@ mod tests {
                 SimError::WorkerPanic { .. }
                     | SimError::SnapshotCorrupt { .. }
                     | SimError::Io { .. }
-                    | SimError::CheckpointSpill { .. }
             );
             assert_eq!(e.is_transient(), expect, "{}", e.kind());
         }
@@ -472,7 +448,7 @@ mod tests {
                 message: "boom".to_string()
             }
         );
-        let e = SimError::from_panic("splice", &("dynamic".to_string()));
+        let e = SimError::from_panic("serve", &("dynamic".to_string()));
         assert_eq!(e.kind(), "worker-panic");
         let e = SimError::from_panic("campaign", &42_u32);
         assert!(

@@ -145,7 +145,7 @@ impl HashAlgo {
         }
     }
 
-    /// Serialize the unit's full mid-stream state (checkpoint spill):
+    /// Serialize the unit's full mid-stream state (checkpoint bytes):
     /// a positional kind tag followed by the per-variant registers.
     pub fn encode_into(&self, e: &mut Enc) {
         encode_kind(self.kind(), e);
@@ -400,7 +400,8 @@ impl BlockHasher for Fletcher32Hasher {
 /// The unit steps byte-at-a-time through a precomputed 256-entry
 /// table — each table entry is the bit-serial remainder of its index,
 /// so the digest is bit-identical to shifting the polynomial one bit
-/// at a time (the reference-vector tests pin this).
+/// at a time (the reference-vector tests pin this). The byte-string
+/// helpers [`crc32`] and [`crc32_continue`] share the same table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Crc32Hasher {
     crc: u32,
@@ -438,6 +439,22 @@ impl Crc32Hasher {
     fn absorb(crc: u32, byte: u8) -> u32 {
         (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xff) as usize]
     }
+}
+
+/// CRC-32 of a byte string — zlib's `crc32`, the checksum the serve
+/// journal stamps on every record.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_continue(0xffff_ffff, bytes)
+}
+
+/// Extend a running CRC-32 with more bytes. `state` is the *raw*
+/// register: start from `0xffff_ffff`, or pass `!digest` to continue
+/// from a finished [`crc32`] digest; the caller applies the final
+/// inversion.
+pub fn crc32_continue(state: u32, bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(state, |crc, &b| Crc32Hasher::absorb(crc, b))
 }
 
 impl Default for Crc32Hasher {
@@ -673,6 +690,16 @@ mod tests {
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V1), 0xed82_cd11);
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V3), 0x6ddb_5d74);
         assert_eq!(hash_words(HashAlgoKind::Crc32, 0, V4), 0xd6a1_84ec);
+        // The byte-string form: the IEEE check value, and the same
+        // digest reached in two pieces through the raw register.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+        let raw = crc32_continue(0xffff_ffff, b"12345");
+        assert_eq!(!crc32_continue(raw, b"6789"), 0xcbf4_3926);
+        assert_eq!(!crc32_continue(!crc32(b"1234"), b"56789"), 0xcbf4_3926);
+        // The word unit and the byte helpers agree on the same bytes.
+        let bytes: Vec<u8> = V3.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(crc32(&bytes), hash_words(HashAlgoKind::Crc32, 0, V3));
     }
 
     #[test]

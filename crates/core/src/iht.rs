@@ -232,7 +232,7 @@ impl Iht {
     }
 
     /// Serialize the table — entries, recency stamps, statistics, and
-    /// search-order state — for checkpoint spill.
+    /// search-order state — for checkpoint serialization.
     pub fn encode_into(&self, e: &mut Enc) {
         e.usize(self.slots.len());
         e.u64(self.clock);

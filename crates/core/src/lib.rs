@@ -26,6 +26,8 @@
 //!   exposing exactly the operations the monitoring micro-ops invoke.
 //! * [`block`] — the `(start, end, hash)` vocabulary shared with the OS
 //!   (full hash table) and the static hash generator.
+//! * [`splitmix`] — the seeded stream behind chaos injection, retry
+//!   jitter and corpus generation.
 //!
 //! The checker is micro-architecture-agnostic: `cimon-pipeline` drives it
 //! through the micro-op environment, and unit tests drive it directly.
@@ -38,11 +40,13 @@ pub mod checker;
 pub mod error;
 pub mod hash;
 pub mod iht;
+pub mod splitmix;
 
 pub use block::{BlockKey, BlockRecord};
 pub use checker::{Cic, CicConfig, CicStats};
 pub use error::SimError;
 pub use hash::{hasher_for, BlockHasher, HashAlgo};
 pub use iht::{Iht, LookupOutcome};
+pub use splitmix::{splitmix64, SplitMix64};
 
 pub use cimon_microop::HashAlgoKind;

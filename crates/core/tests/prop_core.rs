@@ -1,8 +1,10 @@
 //! Property tests for the checker hardware: the IHT behaves like an
 //! abstract LRU-tagged map, and the hash units obey their detection
-//! algebra.
+//! algebra. Also the `SimError` wire form: decoding untrusted
+//! `(kind, rendering)` pairs never panics, and every kind tag
+//! round-trips.
 
-use cimon_core::{hash, BlockKey, BlockRecord, HashAlgoKind, Iht, LookupOutcome};
+use cimon_core::{hash, BlockKey, BlockRecord, HashAlgoKind, Iht, LookupOutcome, SimError};
 use proptest::prelude::*;
 
 /// Abstract operations on the table.
@@ -194,6 +196,111 @@ proptest! {
             let streamed = unit.digest();
             let fresh = hash::hash_words(kind, 7, block.iter().copied());
             prop_assert_eq!(streamed, fresh, "{} reset leaks state", kind);
+        }
+    }
+}
+
+/// Pieces of real wire renderings, so generated strings get past the
+/// prefix checks and into every field parser.
+const FRAGMENTS: [&str; 24] = [
+    "assembly failed: ",
+    "undecodable word ",
+    " at ",
+    "0x",
+    "deadbeef",
+    "FFFFFFFF",
+    "snapshot checksum mismatch: expected ",
+    ", found ",
+    "worker panic in ",
+    "sweep",
+    " pool: ",
+    "cycle budget of ",
+    " exhausted",
+    "watchdog fired after ",
+    " ms",
+    "admission queue full: ",
+    " of ",
+    "18446744073709551616",
+    "-1",
+    "server draining: not admitting new requests",
+    "checkpoint spill failed: ",
+    "resume mismatch: ",
+    "\u{0}é",
+    "",
+];
+
+fn arb_rendering() -> impl Strategy<Value = String> {
+    (
+        prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..6),
+        prop::collection::vec(any::<u8>(), 0..24),
+    )
+        .prop_map(|(parts, raw)| parts.concat() + &String::from_utf8_lossy(&raw))
+}
+
+/// One value of the variant tagged `tag`, its payload drawn from `n`
+/// and `text`.
+fn variant(tag: &str, n: u64, text: &str) -> SimError {
+    let message = text.to_string();
+    match tag {
+        "assembly" => SimError::Assembly { message },
+        "hash-gen" => SimError::HashGen { message },
+        "decode" => SimError::Decode {
+            addr: n as u32,
+            word: (n >> 32) as u32,
+        },
+        "memory-bounds" => SimError::MemoryBounds { addr: n as u32 },
+        "snapshot-corrupt" => SimError::SnapshotCorrupt {
+            expected: n as u32,
+            found: (n >> 32) as u32,
+        },
+        "worker-panic" => SimError::WorkerPanic {
+            site: ["sweep", "campaign", "serve"][(n % 3) as usize],
+            message,
+        },
+        "cycle-budget" => SimError::CycleBudget { max_cycles: n },
+        "watchdog" => SimError::Watchdog { max_wall_ms: n },
+        "invalid-config" => SimError::InvalidConfig { message },
+        "overloaded" => SimError::Overloaded {
+            queued: (n as u32) as usize,
+            capacity: (n >> 32) as usize,
+        },
+        "draining" => SimError::Draining,
+        "protocol" => SimError::Protocol { message },
+        "io" => SimError::Io { message },
+        "resume-mismatch" => SimError::ResumeMismatch { message },
+        other => panic!("no generator for kind tag `{other}`"),
+    }
+}
+
+proptest! {
+    /// Arbitrary wire pairs — every live tag, the removed
+    /// `checkpoint-spill` tag, and unknown tags — decode to `None` or
+    /// to a value of the tag asked for that re-renders to itself.
+    /// Never a panic.
+    #[test]
+    fn wire_decoding_of_arbitrary_strings_never_panics(
+        tag_idx in any::<prop::sample::Index>(),
+        text in arb_rendering(),
+    ) {
+        let mut tags: Vec<&str> = SimError::KINDS.to_vec();
+        tags.extend(["checkpoint-spill", "", "warp-core"]);
+        let tag = tags[tag_idx.index(tags.len())];
+        if let Some(e) = SimError::from_wire(tag, &text) {
+            prop_assert_eq!(e.kind(), tag);
+            prop_assert_eq!(SimError::from_wire(e.kind(), &e.to_string()), Some(e));
+        }
+        prop_assert_eq!(SimError::from_wire("checkpoint-spill", &text), None);
+    }
+
+    /// Every kind tag round-trips through its wire form for arbitrary
+    /// payloads.
+    #[test]
+    fn every_kind_tag_round_trips(n in any::<u64>(), text in arb_rendering()) {
+        prop_assert!(!SimError::KINDS.contains(&"checkpoint-spill"));
+        for tag in SimError::KINDS {
+            let e = variant(tag, n, &text);
+            prop_assert_eq!(e.kind(), tag);
+            prop_assert_eq!(SimError::from_wire(tag, &e.to_string()), Some(e));
         }
     }
 }

@@ -32,17 +32,11 @@
 //! executable code, which the paper's threat model also confines
 //! itself to).
 //!
-//! # Disk-spilled reference snapshots
-//!
-//! [`Campaign::new_with_spill`] with [`SpillMode::Disk`] streams the
-//! reference snapshots into a CRC-framed scratch segment
-//! ([`cimon_sim::ckpt`]) instead of holding them in RAM, so long
-//! reference runs checkpoint in bounded memory. Every restore
-//! re-verifies the frame CRC; a quarantined or rotten frame degrades
-//! that one faulted run to a from-scratch execution — classifications
-//! never change, only `saved_cycles` shrinks. A store-level I/O
-//! failure during construction drops checkpointing entirely (every
-//! run from scratch), exactly like a non-exiting reference.
+//! The reference snapshots stay in RAM: memory clones copy-on-write,
+//! so each one costs only the pages the clean run dirtied since the
+//! previous one. A snapshot whose restore fails its integrity checksum
+//! degrades that one faulted run to a from-scratch execution —
+//! classifications never change, only `saved_cycles` shrinks.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,8 +48,8 @@ use cimon_pipeline::{
     BlockCache, BlockExec, ConsoleEvent, Predecode, PredecodedImage, Processor, ProcessorConfig,
     ProcessorSnapshot, RunOutcome,
 };
+use cimon_sim::chaos;
 use cimon_sim::engine::{default_workers, parallel_map_isolated};
-use cimon_sim::{chaos, ckpt, SpillMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -256,7 +250,7 @@ impl CampaignResult {
 /// block events cover every word of an executed block, which is
 /// exactly the set the monitor reads).
 struct Checkpoints {
-    store: SnapStore,
+    snaps: Vec<ProcessorSnapshot>,
     /// Clean-run cycle count at each snapshot.
     snap_cycles: Vec<u64>,
     /// Per window (`snaps.len() + 1` of them), sorted disjoint
@@ -267,54 +261,6 @@ struct Checkpoints {
     touched: Vec<Vec<(u32, u32)>>,
     /// Total cycles of the clean reference run.
     reference_cycles: u64,
-}
-
-/// Where the reference snapshots live.
-enum SnapStore {
-    /// In-RAM snapshots (the historical store).
-    Ram(Vec<ProcessorSnapshot>),
-    /// Snapshots spilled to a CRC-framed scratch segment; per snapshot
-    /// position, its good frame — `None` when the scan quarantined it.
-    Disk {
-        seg: ckpt::ScratchSegment,
-        frames: Vec<Option<ckpt::FrameInfo>>,
-    },
-}
-
-impl SnapStore {
-    /// Restore snapshot `i` into `cpu`. `false` means the snapshot is
-    /// unavailable (quarantined frame, segment rot, or a restore
-    /// failure) and the caller must degrade to a from-scratch run.
-    fn restore(&self, cpu: &mut Processor, i: usize) -> bool {
-        match self {
-            SnapStore::Ram(snaps) => cpu.restore(&snaps[i]).is_ok(),
-            SnapStore::Disk { seg, frames } => {
-                let Some(Some(frame)) = frames.get(i) else {
-                    return false;
-                };
-                let Ok(mut reader) = ckpt::SegmentReader::open(seg.path()) else {
-                    return false;
-                };
-                let Ok(Some(bytes)) = reader.read_frame(frame) else {
-                    return false;
-                };
-                let Ok(snap) = ProcessorSnapshot::from_bytes(&bytes) else {
-                    return false;
-                };
-                cpu.restore(&snap).is_ok()
-            }
-        }
-    }
-
-    /// (spilled, quarantined) frame counts — `(0, 0)` for the RAM store.
-    fn spill_stats(&self) -> (usize, usize) {
-        match self {
-            SnapStore::Ram(_) => (0, 0),
-            SnapStore::Disk { frames, .. } => {
-                (frames.len(), frames.iter().filter(|f| f.is_none()).count())
-            }
-        }
-    }
 }
 
 impl Checkpoints {
@@ -378,35 +324,19 @@ pub struct Campaign {
     /// patched copy is ever materialised).
     clean_mem: Memory,
     reference: (RunOutcome, Vec<ConsoleEvent>),
-    /// Where reference snapshots are kept (RAM or a scratch segment).
-    spill: SpillMode,
     /// Clean-run snapshots and touch map; `None` when the reference did
-    /// not exit cleanly, the program writes its own text, or a disk
-    /// spill hit a store-level I/O failure.
+    /// not exit cleanly or the program writes its own text.
     checkpoints: Option<Checkpoints>,
 }
 
 impl Campaign {
     /// Prepare a campaign: runs the program once cleanly (monitored) to
-    /// capture the reference result. Reference snapshots stay in RAM;
-    /// use [`Campaign::new_with_spill`] to stream them to disk.
+    /// capture the reference result, then snapshots it for
+    /// checkpoint-restart (module docs).
     pub fn new(
         image: impl Into<Arc<ProgramImage>>,
         cic: CicConfig,
         fht: impl Into<Arc<FullHashTable>>,
-    ) -> Campaign {
-        Campaign::new_with_spill(image, cic, fht, SpillMode::Ram)
-    }
-
-    /// [`Campaign::new`] with an explicit checkpoint store. With
-    /// [`SpillMode::Disk`] the reference snapshots are streamed into a
-    /// CRC-framed scratch segment (module docs) so campaign RAM stays
-    /// bounded regardless of reference-run length.
-    pub fn new_with_spill(
-        image: impl Into<Arc<ProgramImage>>,
-        cic: CicConfig,
-        fht: impl Into<Arc<FullHashTable>>,
-        spill: SpillMode,
     ) -> Campaign {
         let image = image.into();
         let fht = fht.into();
@@ -421,7 +351,6 @@ impl Campaign {
             blocks,
             clean_mem,
             reference: (RunOutcome::MaxCycles, Vec::new()),
-            spill,
             checkpoints: None,
         };
         let mut cpu = campaign.processor(&campaign.fht, ProcessorConfig::baseline().max_cycles);
@@ -463,9 +392,7 @@ impl Campaign {
     /// every `instructions / 8` retired instructions, and derive the
     /// per-window touch map. Returns `None` when the program writes its
     /// own text (a pre-applied flip could be overwritten before its
-    /// first fetch, so prefix reuse would be unsound), or when a disk
-    /// spill hits a store-level I/O failure (scratch runs are always
-    /// sound).
+    /// first fetch, so prefix reuse would be unsound).
     fn build_checkpoints(&self, instructions: u64) -> Option<Checkpoints> {
         const WINDOWS: u64 = 8;
         let interval = (instructions / WINDOWS).max(1);
@@ -476,34 +403,18 @@ impl Campaign {
             true,
         );
         let text_epoch = cpu.mem().dense_epoch();
-        let disk = self.spill == SpillMode::Disk;
-        let mut seg = None;
-        let mut writer = None;
-        if disk {
-            let scratch = ckpt::ScratchSegment::new("campaign");
-            writer = Some(ckpt::SegmentWriter::create(scratch.path()).ok()?);
-            seg = Some(scratch);
-        }
-        let mut count = 0usize;
         let mut snaps = Vec::new();
         let mut snap_cycles = Vec::new();
         let mut block_cuts = Vec::new();
         loop {
-            let target = (count as u64 + 1) * interval;
+            let target = (snaps.len() as u64 + 1) * interval;
             match cpu.run_to_instret(target) {
                 Some(_) => break,
                 None => {
                     let s = cpu.snapshot();
                     snap_cycles.push(cpu.stats().cycles);
                     block_cuts.push(s.blocks().len());
-                    count += 1;
-                    if let Some(w) = writer.as_mut() {
-                        // Spill and drop: disk mode never holds more
-                        // than one snapshot in RAM.
-                        w.append(&s.to_bytes()).ok()?;
-                    } else {
-                        snaps.push(s);
-                    }
+                    snaps.push(s);
                 }
             }
         }
@@ -530,53 +441,12 @@ impl Campaign {
             touched.push(merge_ranges(ranges));
             prev = end;
         }
-        let store = if disk {
-            // The writer applied any chaos frame damage on the way in;
-            // the scan screens it out here, and per-frame CRCs are
-            // re-verified again at every restore.
-            writer?.finish().ok()?;
-            let seg = seg?;
-            let index = ckpt::scan(seg.path()).ok()?;
-            let mut frames = vec![None; count];
-            for f in &index.frames {
-                if f.is_good() {
-                    if let Some(slot) = frames.get_mut(f.seq as usize) {
-                        *slot = Some(*f);
-                    }
-                }
-            }
-            SnapStore::Disk { seg, frames }
-        } else {
-            SnapStore::Ram(snaps)
-        };
         Some(Checkpoints {
-            store,
+            snaps,
             snap_cycles,
             touched,
             reference_cycles,
         })
-    }
-
-    /// (spilled, quarantined) reference-snapshot frames in the disk
-    /// store — `(0, 0)` for the RAM store or when checkpointing is off.
-    pub fn spill_stats(&self) -> (usize, usize) {
-        self.checkpoints
-            .as_ref()
-            .map(|cp| cp.store.spill_stats())
-            .unwrap_or((0, 0))
-    }
-
-    /// Test hook: quarantine every spilled frame, as if the whole
-    /// segment had rotted on disk after the scan.
-    #[cfg(test)]
-    fn poison_all_spilled_frames(&mut self) {
-        if let Some(Checkpoints {
-            store: SnapStore::Disk { frames, .. },
-            ..
-        }) = &mut self.checkpoints
-        {
-            frames.iter_mut().for_each(|f| *f = None);
-        }
     }
 
     /// The clean reference outcome.
@@ -645,10 +515,9 @@ impl Campaign {
                     return (Outcome::Hung, max_cycles);
                 }
                 let mut cpu = self.processor_with(&self.fht, max_cycles, max_wall, true);
-                if !cp.store.restore(&mut cpu, w - 1) {
-                    // A corrupted, quarantined, or rotten checkpoint
-                    // must never change the classification: degrade to
-                    // a from-scratch run.
+                if cpu.restore(&cp.snaps[w - 1]).is_err() {
+                    // A corrupted checkpoint must never change the
+                    // classification: degrade to a from-scratch run.
                     return (self.run_one_walled(plan, max_cycles, max_wall), 0);
                 }
                 match plan.site {
@@ -1073,88 +942,6 @@ mod tests {
         // Flips in the exit sequence only activate in the last window,
         // so some plans must have reused a clean prefix.
         assert!(total_saved > 0);
-    }
-
-    #[test]
-    fn disk_spilled_checkpoints_classify_exactly_like_scratch_runs() {
-        let prog = assemble(PROGRAM).unwrap();
-        let (fht, _) = static_fht(&prog.image, &[], HashAlgoKind::Xor, 0).unwrap();
-        let cic = CicConfig {
-            iht_entries: 8,
-            hash_algo: HashAlgoKind::Xor,
-            hash_seed: 0,
-        };
-        let (lo, hi) = prog.image.text_range();
-        let targets: Vec<u32> = (lo..hi).step_by(4).collect();
-        let c = Campaign::new_with_spill(prog.image, cic, fht, SpillMode::Disk);
-        let (spilled, quarantined) = c.spill_stats();
-        assert!(spilled > 0, "reference snapshots must have spilled");
-        if !chaos::enabled() {
-            assert_eq!(quarantined, 0);
-        }
-        let mut total_saved = 0;
-        for site in [
-            FaultSite::StoredImage,
-            FaultSite::FetchBus(BusFaultMode::OneShot),
-        ] {
-            let r = assert_matches_scratch(
-                &c,
-                &CampaignConfig {
-                    runs: 60,
-                    seed: 23,
-                    model: FaultModel::SingleBit,
-                    site,
-                    targets: targets.clone(),
-                    max_cycles: 60_000,
-                    max_wall: None,
-                },
-            );
-            total_saved += r.saved_cycles;
-        }
-        assert!(total_saved > 0, "some plans must reuse a spilled prefix");
-    }
-
-    #[test]
-    fn quarantined_frames_degrade_to_scratch_classifications() {
-        // Target only the exit sequence, so every plan lands in the
-        // last window and wants a late spilled checkpoint.
-        let entry = assemble(PROGRAM).unwrap().image.entry;
-        let prog = assemble(PROGRAM).unwrap();
-        let (fht, _) = static_fht(&prog.image, &[], HashAlgoKind::Xor, 0).unwrap();
-        let cic = CicConfig {
-            iht_entries: 8,
-            hash_algo: HashAlgoKind::Xor,
-            hash_seed: 0,
-        };
-        let mut c = Campaign::new_with_spill(prog.image, cic, fht, SpillMode::Disk);
-        let cfg = CampaignConfig {
-            runs: 30,
-            seed: 77,
-            model: FaultModel::SingleBit,
-            site: FaultSite::StoredImage,
-            targets: vec![entry + 20, entry + 24, entry + 28],
-            max_cycles: 60_000,
-            max_wall: None,
-        };
-        let clean = c.run_with_workers(&cfg, 2).unwrap();
-        // Rot the whole segment: every restore now fails its frame
-        // lookup and the run recomputes from scratch — same counts,
-        // nothing saved.
-        c.poison_all_spilled_frames();
-        assert_eq!(c.spill_stats().1, c.spill_stats().0);
-        let poisoned = c.run_with_workers(&cfg, 2).unwrap();
-        assert_eq!(
-            CampaignResult {
-                saved_cycles: poisoned.saved_cycles,
-                ..clean
-            },
-            poisoned,
-            "quarantine must not change classifications"
-        );
-        assert_eq!(poisoned.saved_cycles, 0, "{poisoned:?}");
-        if !chaos::enabled() {
-            assert!(clean.saved_cycles as usize >= cfg.runs, "{clean:?}");
-        }
     }
 
     #[test]

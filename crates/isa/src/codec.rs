@@ -1,20 +1,19 @@
-//! Little-endian byte codec for durable state.
+//! Little-endian byte codec for checkpoint state.
 //!
-//! The checkpoint spill path (`cimon_sim::ckpt`) serializes complete
-//! processor snapshots to disk, which means every crate that owns a
-//! piece of run state — memory, the datapath, the checker, the OS
-//! kernel, the pipeline — needs one agreed way to turn that state into
-//! bytes and back. This module is that agreement: a tiny, explicit,
+//! `ProcessorSnapshot::to_bytes` serializes complete processor
+//! snapshots, which means every crate that owns a piece of run state —
+//! memory, the datapath, the checker, the OS kernel, the pipeline —
+//! needs one agreed way to turn that state into bytes and back. This module is that agreement: a tiny, explicit,
 //! little-endian writer/reader pair with no reflection, no derive
 //! magic, and no external dependency, so the on-disk layout of every
 //! field is visible at its encode site.
 //!
-//! Integrity is layered *above* this codec: the segment store frames
-//! each encoded snapshot with CRCs, and `ProcessorSnapshot` carries its
-//! own architectural checksum. The decoder here only guards against
-//! structural damage (truncation, impossible lengths, out-of-range
-//! tags) and reports it as a typed [`CodecError`] instead of panicking,
-//! so a corrupt spill segment degrades instead of crashing a shard.
+//! Integrity is layered *above* this codec: `ProcessorSnapshot`
+//! carries its own architectural checksum. The decoder here only
+//! guards against structural damage (truncation, impossible lengths,
+//! out-of-range tags) and reports it as a typed [`CodecError`] instead
+//! of panicking, so corrupt bytes fail cleanly instead of crashing the
+//! caller.
 
 use std::fmt;
 
@@ -229,7 +228,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Assert every byte was consumed — decoders call this last so
-    /// trailing garbage (a mis-framed segment) is detected rather than
+    /// trailing garbage (mis-framed bytes) is detected rather than
     /// silently ignored.
     ///
     /// # Errors

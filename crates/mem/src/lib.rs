@@ -121,9 +121,8 @@ impl FetchBus {
     }
 
     /// Reinstate the fetch counter from a snapshot. Taps are not part
-    /// of a snapshot — a restored run re-installs its own tap (the
-    /// splice layer records the original tap's overrides and replays
-    /// them positionally).
+    /// of a snapshot — a restored run re-installs its own tap, and
+    /// positional taps key off the restored count.
     pub fn set_fetch_count(&mut self, n: u64) {
         self.fetches = n;
     }

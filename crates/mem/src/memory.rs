@@ -17,7 +17,7 @@
 //! Both tiers are **copy-on-write**: the dense buffer and every page
 //! sit behind an [`Arc`], so `Memory::clone()` is a snapshot costing
 //! one pointer bump per resident page — the checkpoint primitive the
-//! spliced-execution and fault-campaign restart paths build on. A
+//! fault-campaign restart path builds on. A
 //! write to a shared buffer clones just that buffer (4 KiB for a page),
 //! so only pages dirtied after a snapshot ever get copied.
 

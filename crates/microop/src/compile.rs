@@ -5,22 +5,22 @@
 //! linear scan of a [`WireEnv`](crate::exec::WireEnv) — fine for tests
 //! and printing, but it costs a `&'static str` comparison per operand
 //! per cycle on the simulator's hot path, plus a fresh `Vec` per
-//! executed program. Two lowered tiers remove that cost:
+//! executed program. Lowering removes that cost in two steps:
 //!
 //! 1. [`CompiledProgram`] performs the wire resolution once, at
 //!    processor construction: each wire becomes an index into a flat
-//!    `u32` slot array the caller provides (and reuses across cycles),
-//!    so the per-cycle executor does nothing but indexed loads and
-//!    stores — plus one opcode `match` per op.
-//! 2. [`ThreadedProgram`] removes that last `match`: each compiled op is
-//!    pre-bound to a monomorphic op function (guard conditions and the
-//!    `RHASH`-reset side effect are specialised into distinct functions
-//!    at bind time), so [`execute_threaded`] is nothing but a walk over
-//!    `(fn pointer, operand block)` pairs — classic threaded code.
+//!    `u32` slot array the caller provides (and reuses across cycles).
+//! 2. [`ThreadedProgram::bind`] pre-binds each compiled op to a
+//!    monomorphic op function (guard conditions and the `RHASH`-reset
+//!    side effect are specialised into distinct functions at bind
+//!    time), so [`execute_threaded`] is nothing but a walk over
+//!    `(fn pointer, operand block)` pairs — classic threaded code — with
+//!    no opcode `match` and no wire lookup.
 //!
-//! Compilation is semantics-preserving by construction — each op maps
-//! 1:1 through both lowerings — and `cimon-pipeline`'s `interp-check`
-//! feature cross-executes all three tiers every cycle to prove it. One
+//! Lowering is semantics-preserving by construction — each op maps 1:1
+//! through both steps — and `cimon-pipeline`'s `interp-check` feature
+//! cross-executes the threaded tier against the interpreter every cycle
+//! to prove it. One
 //! deliberate difference: the interpreter panics at run time when a
 //! program reads a floating wire, while the lowered forms rely on
 //! [`ProcessorSpec::validate`](crate::spec::ProcessorSpec::validate)
@@ -36,17 +36,6 @@ use crate::ops::{Cond, Guard, MicroOp, MicroProgram, Wire};
 pub struct CompiledGuard {
     slot: u16,
     cond: Cond,
-}
-
-impl CompiledGuard {
-    #[inline]
-    fn fire(&self, slots: &[u32]) -> bool {
-        let v = slots[self.slot as usize];
-        match self.cond {
-            Cond::EqZero => v == 0,
-            Cond::NeZero => v != 0,
-        }
-    }
 }
 
 /// One [`MicroOp`] with every wire resolved to a slot index.
@@ -96,7 +85,8 @@ enum CompiledOp {
     },
 }
 
-/// A [`MicroProgram`] lowered for indexed execution.
+/// A [`MicroProgram`] with every wire resolved to a slot index — the
+/// input [`ThreadedProgram::bind`] lowers to threaded code.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledProgram {
     name: String,
@@ -208,92 +198,10 @@ impl CompiledProgram {
     }
 
     /// The slot a wire was assigned, if the program mentions it. Used
-    /// to pre-seed input wires and to read outputs after execution.
+    /// to pre-seed input wires and to read outputs after execution
+    /// (the threaded form keeps the same slot assignment).
     pub fn slot_of(&self, wire: Wire) -> Option<usize> {
         self.wires.iter().position(|w| *w == wire)
-    }
-}
-
-/// Execute a compiled program over `dp`, with functional units supplied
-/// by `env` and wire storage in `slots` (callers keep one scratch array
-/// alive across cycles — nothing here allocates).
-///
-/// Input wires must be pre-seeded into their [`CompiledProgram::slot_of`]
-/// positions; all other slots are written before being read by any
-/// program that passes [`ProcessorSpec::validate`].
-///
-/// [`ProcessorSpec::validate`]: crate::spec::ProcessorSpec::validate
-///
-/// # Panics
-///
-/// Panics if `slots` is shorter than [`CompiledProgram::slot_count`].
-///
-/// Generic over the environment (rather than `&mut dyn MicroEnv`) so
-/// the pipeline's concrete environment — and with it the memory fast
-/// path behind `fetch` — inlines into the dispatch loop; trait objects
-/// still work through the `?Sized` bound.
-pub fn execute_compiled<E: MicroEnv + ?Sized>(
-    program: &CompiledProgram,
-    dp: &mut Datapath,
-    env: &mut E,
-    slots: &mut [u32],
-) {
-    assert!(
-        slots.len() >= program.wires.len(),
-        "slot scratch too small for `{}`: {} < {}",
-        program.name,
-        slots.len(),
-        program.wires.len(),
-    );
-    for op in &program.ops {
-        match *op {
-            CompiledOp::Read { reg, out } => slots[out as usize] = dp.read(reg),
-            CompiledOp::Write { reg, input } => dp.write(reg, slots[input as usize]),
-            CompiledOp::WriteGuarded { reg, input, guard } => {
-                if guard.fire(slots) {
-                    dp.write(reg, slots[input as usize]);
-                }
-            }
-            CompiledOp::Reset { reg } => {
-                dp.reset(reg);
-                if reg == DReg::Rhash {
-                    env.hash_reset();
-                }
-            }
-            CompiledOp::IncPc => {
-                let pc = dp.read(DReg::Cpc);
-                dp.write(DReg::Cpc, pc.wrapping_add(cimon_isa::INSTR_BYTES));
-            }
-            CompiledOp::FetchIMem { addr, out } => {
-                slots[out as usize] = env.fetch(slots[addr as usize]);
-            }
-            CompiledOp::HashOp { old, instr, out } => {
-                slots[out as usize] = env.hash_step(slots[old as usize], slots[instr as usize]);
-            }
-            CompiledOp::IhtLookup {
-                start,
-                end,
-                hash,
-                found,
-                matched,
-            } => {
-                let (f, m) = env.iht_lookup(
-                    slots[start as usize],
-                    slots[end as usize],
-                    slots[hash as usize],
-                );
-                slots[found as usize] = f as u32;
-                slots[matched as usize] = m as u32;
-            }
-            CompiledOp::AndNot { a, b, out } => {
-                slots[out as usize] = ((slots[a as usize] != 0) && (slots[b as usize] == 0)) as u32;
-            }
-            CompiledOp::RaiseException { kind, guard } => {
-                if guard.fire(slots) {
-                    env.raise(kind);
-                }
-            }
-        }
     }
 }
 
@@ -545,9 +453,17 @@ impl<E: MicroEnv + ?Sized> ThreadedProgram<E> {
     }
 }
 
-/// Execute a threaded program: one indirect call per op, no opcode
-/// dispatch. Same contract as [`execute_compiled`] — input wires
-/// pre-seeded, `slots` reused across cycles, nothing allocates.
+/// Execute a threaded program over `dp`, with functional units supplied
+/// by `env` and wire storage in `slots`: one indirect call per op, no
+/// opcode dispatch. Callers keep one scratch array alive across cycles —
+/// nothing here allocates.
+///
+/// Input wires must be pre-seeded into their
+/// [`CompiledProgram::slot_of`] positions; all other slots are written
+/// before being read by any program that passes
+/// [`ProcessorSpec::validate`].
+///
+/// [`ProcessorSpec::validate`]: crate::spec::ProcessorSpec::validate
 ///
 /// # Panics
 ///
@@ -577,7 +493,7 @@ mod tests {
     use crate::spec::{baseline_spec, embed_monitor, MonitorParams};
 
     /// Scripted environment whose answers depend only on call order, so
-    /// the interpreted and compiled executions see identical units.
+    /// the interpreted and threaded executions see identical units.
     struct Script {
         words: Vec<u32>,
         fetches: usize,
@@ -613,41 +529,32 @@ mod tests {
         }
     }
 
-    /// Run `program` through all three tiers — interpreted, compiled,
-    /// threaded — from the same start state and assert identical
-    /// datapaths and raised exceptions.
+    /// Run `program` interpreted and threaded from the same start state
+    /// and assert identical datapaths and raised exceptions.
     fn differential(program: &MicroProgram, iht: (bool, bool)) {
         let words = vec![0x0109_5020, 0xdead_beef, 0x2508_0001];
         let mut dp_i = Datapath::with_seed(0x5eed);
         dp_i.write(DReg::Cpc, 0x40_0000);
-        let mut dp_c = dp_i.clone();
         let mut dp_t = dp_i.clone();
 
         let mut env_i = Script::new(words.clone(), iht);
-        let mut env_c = Script::new(words.clone(), iht);
         let mut env_t = Script::new(words, iht);
 
         execute(program, &mut dp_i, &mut env_i, WireEnv::new());
 
         let compiled = CompiledProgram::compile(program);
-        let mut slots = vec![0u32; compiled.slot_count()];
-        execute_compiled(&compiled, &mut dp_c, &mut env_c, &mut slots);
-
         let threaded: ThreadedProgram<Script> = ThreadedProgram::bind(&compiled);
         assert_eq!(threaded.slot_count(), compiled.slot_count());
         assert_eq!(threaded.name(), compiled.name());
-        let mut tslots = vec![0u32; threaded.slot_count()];
-        execute_threaded(&threaded, &mut dp_t, &mut env_t, &mut tslots);
+        let mut slots = vec![0u32; threaded.slot_count()];
+        execute_threaded(&threaded, &mut dp_t, &mut env_t, &mut slots);
 
-        assert_eq!(dp_i, dp_c, "datapath diverged on `{}`", program.name);
         assert_eq!(
             dp_i, dp_t,
             "threaded datapath diverged on `{}`",
             program.name
         );
-        assert_eq!(env_i.raised, env_c.raised, "raises diverged");
         assert_eq!(env_i.raised, env_t.raised, "threaded raises diverged");
-        assert_eq!(env_i.fetches, env_c.fetches, "fetch counts diverged");
         assert_eq!(
             env_i.fetches, env_t.fetches,
             "threaded fetch counts diverged"
@@ -674,17 +581,18 @@ mod tests {
         // Re-running with the same scratch must behave like fresh runs:
         // every slot is written before read on validated programs.
         let spec = embed_monitor(&baseline_spec(), &MonitorParams::default());
-        let compiled = CompiledProgram::compile(&spec.if_program);
-        let mut slots = vec![0u32; compiled.slot_count()];
+        let t: ThreadedProgram<Script> =
+            ThreadedProgram::bind(&CompiledProgram::compile(&spec.if_program));
+        let mut slots = vec![0u32; t.slot_count()];
         let mut dp = Datapath::new();
         dp.write(DReg::Cpc, 0x1000);
         let mut env = Script::new(vec![0x42], (true, true));
-        execute_compiled(&compiled, &mut dp, &mut env, &mut slots);
+        execute_threaded(&t, &mut dp, &mut env, &mut slots);
         let first = dp.clone();
         dp.write(DReg::Cpc, 0x1000);
         dp.write(DReg::Sta, 0);
         dp.write(DReg::Rhash, 0);
-        execute_compiled(&compiled, &mut dp, &mut env, &mut slots);
+        execute_threaded(&t, &mut dp, &mut env, &mut slots);
         assert_eq!(dp.read(DReg::IReg), first.read(DReg::IReg));
         assert_eq!(dp.read(DReg::Cpc), first.read(DReg::Cpc));
     }
@@ -702,29 +610,16 @@ mod tests {
         let mut slots = vec![0u32; 3];
         slots[c.slot_of(Wire("a")).unwrap()] = 0x0f0f_0f0f;
         slots[c.slot_of(Wire("b")).unwrap()] = 0x1111_1111;
+        let t: ThreadedProgram<Script> = ThreadedProgram::bind(&c);
         let mut dp = Datapath::new();
         let mut env = Script::new(vec![0], (true, true));
-        execute_compiled(&c, &mut dp, &mut env, &mut slots);
+        execute_threaded(&t, &mut dp, &mut env, &mut slots);
         assert_eq!(
             slots[c.slot_of(Wire("c")).unwrap()],
             0x0f0f_0f0f_u32.rotate_left(1) ^ 0x1111_1111
         );
         assert_eq!(c.slot_of(Wire("ghost")), None);
         assert_eq!(c.name(), "io");
-    }
-
-    #[test]
-    #[should_panic(expected = "slot scratch too small")]
-    fn short_scratch_panics() {
-        let mut p = MicroProgram::new("t");
-        p.push(MicroOp::Read {
-            reg: DReg::Cpc,
-            out: Wire("pc"),
-        });
-        let c = CompiledProgram::compile(&p);
-        let mut dp = Datapath::new();
-        let mut env = Script::new(vec![0], (true, true));
-        execute_compiled(&c, &mut dp, &mut env, &mut []);
     }
 
     #[test]

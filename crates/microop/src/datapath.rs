@@ -106,7 +106,7 @@ impl Datapath {
         self.write(reg, v);
     }
 
-    /// Serialize every register plus the reset seed (checkpoint spill).
+    /// Serialize every register plus the reset seed (checkpoint bytes).
     pub fn encode_into(&self, e: &mut Enc) {
         for v in self.values {
             e.u32(v);

@@ -19,7 +19,7 @@
 //!    resources (`STA`, `RHASH`, `HASHFU`, the IHT and comparator).
 //!
 //! Where ASIP Meister emits synthesizable VHDL, this crate emits an
-//! executable specification: the pipeline in `cimon-pipeline` interprets
+//! executable specification: the pipeline in `cimon-pipeline` executes
 //! the stage programs, and `cimon-area` prices the resource list
 //! (substitutions documented in `DESIGN.md`).
 //!
@@ -44,7 +44,7 @@ pub mod exec;
 pub mod ops;
 pub mod spec;
 
-pub use compile::{execute_compiled, execute_threaded, CompiledProgram, OpData, ThreadedProgram};
+pub use compile::{execute_threaded, CompiledProgram, OpData, ThreadedProgram};
 pub use datapath::{DReg, Datapath};
 pub use exec::{execute, ExceptionKind, MicroEnv, WireEnv};
 pub use ops::{Cond, Guard, MicroOp, MicroProgram, Wire};

@@ -88,7 +88,7 @@ pub struct OsKernelState {
 }
 
 impl OsKernelState {
-    /// Serialize the captured kernel state for checkpoint spill.
+    /// Serialize the captured kernel state for checkpoint serialization.
     pub fn encode_into(&self, e: &mut Enc) {
         e.u64(self.stats.miss_exceptions);
         e.u64(self.stats.mismatch_exceptions);

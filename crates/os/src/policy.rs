@@ -77,7 +77,7 @@ pub enum PolicyState {
 }
 
 impl PolicyState {
-    /// Serialize the state for checkpoint spill: a variant tag plus the
+    /// Serialize the state for a checkpoint: a variant tag plus the
     /// cursor or the RNG's internal state word.
     pub fn encode_into(&self, e: &mut Enc) {
         match self {

@@ -226,7 +226,7 @@ impl BlockCache {
     }
 
     /// The slot index serving `pc`, if `pc` lands on a decodable slot —
-    /// the value superblock chains cache so hot loops skip this lookup.
+    /// the key of the per-slot validation and plan state.
     #[inline]
     pub fn slot_at(&self, pc: u32) -> Option<u32> {
         let off = pc.wrapping_sub(self.base);
@@ -241,8 +241,8 @@ impl BlockCache {
     }
 
     /// The block at a slot index previously returned by
-    /// [`BlockCache::slot_at`] (or served from a chain edge — the cache
-    /// is immutable, so a recorded slot can never go stale).
+    /// [`BlockCache::slot_at`] (the cache is immutable, so a recorded
+    /// slot can never go stale).
     ///
     /// # Panics
     ///

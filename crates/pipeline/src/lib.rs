@@ -58,8 +58,8 @@ pub use blockexec::{BlockCache, CachedBlock, MAX_BLOCK_LEN};
 pub use monitor::{CicMonitor, CicMonitorState, Monitor, MonitorState, NullMonitor, Verdict};
 pub use predecode::{PredecodedEntry, PredecodedImage};
 pub use processor::{
-    BlockEvent, BlockExec, BlockExecStats, ConsoleEvent, FastPassReport, FaultKind, MonitorConfig,
-    Predecode, Processor, ProcessorConfig, ProcessorSnapshot, RunOutcome, RunStats,
+    BlockEvent, BlockExec, BlockExecStats, ConsoleEvent, FaultKind, MonitorConfig, Predecode,
+    Processor, ProcessorConfig, ProcessorSnapshot, RunOutcome, RunStats,
     DEFAULT_WATCHDOG_POLL_BITS,
 };
 pub use regfile::RegFile;

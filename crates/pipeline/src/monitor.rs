@@ -68,7 +68,7 @@ pub struct CicMonitorState {
 }
 
 impl MonitorState {
-    /// Serialize the captured monitor state for checkpoint spill: a
+    /// Serialize the captured monitor state for a checkpoint: a
     /// variant tag, then (for the CIC plane) the checker hardware and
     /// the OS kernel state. The FHT is configuration, not run state,
     /// and is not written — a decoded state is reinstated into a

@@ -1,7 +1,6 @@
 //! The processor: functional execution, monitoring integration, and
 //! cycle accounting.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,16 +14,16 @@ use cimon_microop::{
     MicroEnv, MicroProgram, ProcessorSpec, ThreadedProgram,
 };
 #[cfg(feature = "interp-check")]
-use cimon_microop::{execute, execute_compiled, WireEnv};
+use cimon_microop::{execute, WireEnv};
 use cimon_os::{
     ExceptionCost, FullHashTable, OsKernel, OsStats, RefillPolicyKind, TerminationCause,
 };
 
-use crate::blockexec::{BlockCache, MAX_BLOCK_LEN};
+use crate::blockexec::BlockCache;
 use crate::monitor::{CicMonitor, Monitor, MonitorState, NullMonitor, Verdict};
 use crate::predecode::{PredecodedEntry, PredecodedImage};
 use crate::regfile::RegFile;
-use crate::timing::{IssueClass, Timing, TimingConfig, TimingEvent};
+use crate::timing::{Timing, TimingConfig};
 
 /// How the processor obtains its predecoded view of the program image.
 #[derive(Clone, Debug, Default)]
@@ -86,13 +85,6 @@ pub struct BlockExecStats {
     pub instructions: u64,
     /// Largest number of instructions retired by one dispatch.
     pub max_block: u64,
-    /// Dispatches that entered through a cached superblock edge
-    /// (taken or fall-through successor of the previous block) without
-    /// a `BlockCache` lookup.
-    pub chain_hits: u64,
-    /// Dispatches that had a cached edge to consult but found it empty
-    /// or pointing at a different PC, and fell back to the lookup.
-    pub chain_misses: u64,
 }
 
 impl BlockExecStats {
@@ -144,9 +136,9 @@ pub struct ProcessorConfig {
     pub max_cycles: u64,
     /// Wall-clock watchdog: the run aborts with
     /// [`RunOutcome::Watchdog`] once this much real time has elapsed
-    /// since construction (or since [`Processor::set_max_wall`]
-    /// re-armed it). `None` — the default — disables the watchdog and
-    /// costs nothing on the hot path: the deadline is only polled every
+    /// since construction. `None` — the default — disables the
+    /// watchdog and costs nothing on the hot path: the deadline is only
+    /// polled every
     /// 2^[`ProcessorConfig::watchdog_poll_bits`] retired instructions,
     /// and not at all when unarmed.
     pub max_wall: Option<Duration>,
@@ -164,23 +156,6 @@ pub struct ProcessorConfig {
     pub predecode: Predecode,
     /// Whether whole predecoded basic blocks execute per dispatch.
     pub block_exec: BlockExec,
-    /// Whether block dispatch chains resolved successor edges
-    /// (superblock chaining). Purely a dispatch optimisation — block
-    /// validation still runs per dispatch — and defaulted from the
-    /// `CIMON_BLOCK_CHAIN` environment variable (`off`/`0`/`false`
-    /// disable it) so CI can gate the unchained fallback path.
-    pub block_chain: bool,
-}
-
-/// The chaining default: on, unless `CIMON_BLOCK_CHAIN` says
-/// otherwise. Read per call (configs are built once per run, not per
-/// dispatch), so tests and harnesses that set the variable mid-process
-/// see the change.
-fn block_chain_default() -> bool {
-    !matches!(
-        std::env::var("CIMON_BLOCK_CHAIN").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
 }
 
 impl ProcessorConfig {
@@ -195,7 +170,6 @@ impl ProcessorConfig {
             record_blocks: false,
             predecode: Predecode::Auto,
             block_exec: BlockExec::Auto,
-            block_chain: block_chain_default(),
         }
     }
 
@@ -377,37 +351,23 @@ impl MicroEnv for EnvState {
     }
 }
 
-/// One stage micro-program in both lowered tiers: the indexed-wire
-/// [`CompiledProgram`] (kept for `interp-check` replay and slot
-/// bookkeeping) and the pre-bound [`ThreadedProgram`] the per-cycle
-/// path executes.
-struct Stage {
-    compiled: CompiledProgram,
-    threaded: ThreadedProgram<EnvState>,
-}
+/// One stage micro-program lowered to the pre-bound threaded code the
+/// per-cycle path executes.
+type Stage = ThreadedProgram<EnvState>;
 
-impl Stage {
-    fn lower(program: &MicroProgram) -> Stage {
-        let compiled = CompiledProgram::compile(program);
-        let threaded = ThreadedProgram::bind(&compiled);
-        Stage { compiled, threaded }
-    }
-
-    fn slot_count(&self) -> usize {
-        self.compiled.slot_count()
-    }
+fn lower(program: &MicroProgram) -> Stage {
+    ThreadedProgram::bind(&CompiledProgram::compile(program))
 }
 
 /// Execute one stage micro-program against the real functional units.
 ///
 /// Normally this is a single [`execute_threaded`] pass. Under the
-/// `interp-check` feature the same stage is executed through all three
-/// tiers: the threaded pass runs against the real units while the
-/// environment records every unit answer, then the indexed-wire
-/// executor and the interpreter replay those recorded answers against
-/// copies of the entry datapath, and the three final datapaths plus the
-/// raised exception sequences are asserted identical. Real side effects
-/// (fetch counts, hash state, IHT traffic) happen exactly once.
+/// `interp-check` feature the threaded pass runs against the real units
+/// while the environment records every unit answer, then the
+/// interpreter replays those recorded answers against the entry
+/// datapath, and the two final datapaths plus the raised exception
+/// sequences are asserted identical. Real side effects (fetch counts,
+/// hash state, IHT traffic) happen exactly once.
 fn run_stage(
     stage: &Stage,
     spec: &ProcessorSpec,
@@ -419,7 +379,7 @@ fn run_stage(
     #[cfg(not(feature = "interp-check"))]
     {
         let _ = (spec, pick_if);
-        execute_threaded(&stage.threaded, dp, env, slots);
+        execute_threaded(stage, dp, env, slots);
     }
     #[cfg(feature = "interp-check")]
     {
@@ -432,34 +392,22 @@ fn run_stage(
         };
         env.recording = Some(crosscheck::Recording::default());
         let mut dp_threaded = dp.clone();
-        execute_threaded(&stage.threaded, &mut dp_threaded, env, slots);
+        execute_threaded(stage, &mut dp_threaded, env, slots);
         let recording = env
             .recording
             .take()
             .unwrap_or_else(|| unreachable!("recording installed above"));
 
-        // Tier 2: the indexed-wire executor replays the recorded
-        // answers over a copy of the entry datapath.
-        let mut dp_compiled = dp.clone();
-        let mut replay = recording.replayer();
-        execute_compiled(&stage.compiled, &mut dp_compiled, &mut replay, slots);
-        replay.verify(stage.compiled.name());
-        assert_eq!(
-            dp_threaded,
-            dp_compiled,
-            "threaded/compiled datapath divergence in `{}`",
-            stage.compiled.name()
-        );
-
-        // Tier 3: the interpreter replays into the caller's datapath.
+        // The interpreter replays the recorded answers into the
+        // caller's datapath.
         let mut replay = recording.replayer();
         execute(program, dp, &mut replay, WireEnv::new());
-        replay.verify(stage.compiled.name());
+        replay.verify(stage.name());
         assert_eq!(
             *dp,
             dp_threaded,
             "interpreted/threaded datapath divergence in `{}`",
-            stage.compiled.name()
+            stage.name()
         );
     }
 }
@@ -487,8 +435,7 @@ mod crosscheck {
     }
 
     impl Recording {
-        /// A fresh replay cursor over the recorded answers (each tier
-        /// replays the same recording independently).
+        /// A fresh replay cursor over the recorded answers.
         pub fn replayer(&self) -> Replayer<'_> {
             Replayer {
                 rec: self,
@@ -587,112 +534,18 @@ mod crosscheck {
 /// are dropped from the `plan_fits` hot path.
 const LIVE_IN_SKIP_AFTER: u8 = 16;
 
-/// Splice fast-pass state: timing bookkeeping is suppressed, and the
-/// trailing window of front-end events is ringed so a checkpoint can
-/// reconstruct scheduler state via [`Timing::replay`].
-struct FastPass {
-    /// Trailing events, capacity [`TimingConfig::replay_horizon`].
-    /// Recorded only while `armed` (within the arming margin of the
-    /// next checkpoint), so steady-state fast execution pays nothing
-    /// for it.
-    ring: VecDeque<TimingEvent>,
-    horizon: usize,
-    armed: bool,
-    /// Cumulative monitoring stall cycles — architecturally exact even
-    /// with the schedule suppressed, because every verdict names its
-    /// own stall.
-    stall_cycles: u64,
-    /// A `ReadCycles` syscall executed: the program consumed a value
-    /// only the real schedule can produce, so architectural state from
-    /// this pass is untrustworthy and a spliced run must fall back to
-    /// serial execution.
-    timing_dependent: bool,
-}
-
-impl FastPass {
-    fn new(horizon: usize) -> FastPass {
-        FastPass {
-            ring: VecDeque::with_capacity(horizon + 1),
-            horizon,
-            armed: false,
-            stall_cycles: 0,
-            timing_dependent: false,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, event: TimingEvent) {
-        if self.ring.len() == self.horizon {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-    }
-
-    #[inline]
-    fn record_issue(&mut self, class: IssueClass, src_mask: u64, dest_mask: u64, taken: bool) {
-        if self.armed {
-            self.push(TimingEvent::Issue {
-                class,
-                src_mask,
-                dest_mask,
-                taken,
-            });
-        }
-    }
-
-    #[inline]
-    fn record_block(&mut self, body: &[PredecodedEntry]) {
-        if self.armed {
-            for e in body {
-                self.push(TimingEvent::Issue {
-                    class: e.klass,
-                    src_mask: e.src_mask,
-                    dest_mask: e.dest_mask,
-                    taken: false,
-                });
-            }
-        }
-    }
-
-    #[inline]
-    fn record_stall(&mut self, cycles: u64) {
-        self.stall_cycles += cycles;
-        // `stall(0)` is an identity on the schedule: not an event.
-        if self.armed && cycles > 0 {
-            self.push(TimingEvent::Stall(cycles));
-        }
-    }
-}
-
-/// What [`Processor::run_fast_pass`] came back with.
-#[derive(Clone, Copy, Debug)]
-pub struct FastPassReport {
-    /// The run outcome. `MaxCycles` here means the *retired-instruction
-    /// proxy* for the budget tripped (instructions can only
-    /// under-approximate cycles): the timed run is then guaranteed to
-    /// end in `MaxCycles` at or before this point, and the splice
-    /// budget fix-up locates the exact stop.
-    pub outcome: RunOutcome,
-    /// A `ReadCycles` syscall executed during the pass (the program
-    /// observes its own timing, which the fast pass does not model):
-    /// the caller must discard the pass — snapshots included — and run
-    /// serially.
-    pub timing_dependent: bool,
-}
-
 /// A complete checkpoint of a run in flight: architectural state (PC,
 /// registers, HI/LO, pipeline latches), memory (copy-on-write — the
 /// clone shares pages until either side writes), the scheduler, the
 /// monitor plane's captured state, and the dispatch-plane bookkeeping
-/// (superblock chain edges, validation epochs, statistics, console and
-/// block-event logs), so a restored run continues **byte-identical** —
-/// counters included.
+/// (validation epochs, statistics, console and block-event logs), so a
+/// restored run continues **byte-identical** — counters included.
 ///
 /// A snapshot is tied to the configuration of the processor that took
 /// it: restore only into a processor built from the same image and
 /// [`ProcessorConfig`]. The fetch-bus *tap* is not captured — a
-/// restored run installs its own (the splice layer replays recorded
-/// overrides positionally, keyed off the restored fetch count).
+/// restored run installs its own (positional taps key off the restored
+/// fetch count).
 #[derive(Clone)]
 pub struct ProcessorSnapshot {
     dp: Datapath,
@@ -710,10 +563,8 @@ pub struct ProcessorSnapshot {
     blocks: Vec<BlockEvent>,
     shadow_block_start: Option<u32>,
     block_stats: BlockExecStats,
-    chain: Vec<ChainEdges>,
     validated: Vec<u64>,
     live_in_skip: Vec<u8>,
-    chain_from: Option<(u32, bool)>,
     /// CRC-32 over the architectural core of the checkpoint (registers,
     /// HI/LO, PC, counters, and every resident memory word), recorded
     /// at capture time and re-verified by [`Processor::restore`].
@@ -750,16 +601,10 @@ impl ProcessorSnapshot {
 
     /// Flip one bit of the snapshot's captured memory, leaving the
     /// recorded checksum stale — the fault model of a checkpoint
-    /// corrupted at rest. Restore is guaranteed to notice; the chaos
-    /// harness and the integrity tests are built on this.
+    /// corrupted at rest. Restore is guaranteed to notice; the
+    /// integrity tests are built on this.
     pub fn corrupt_bit(&mut self, addr: u32, bit: u8) {
         self.mem.flip_bit(addr, bit);
-    }
-
-    /// Fetch-bus word count at the checkpoint — the key positional bus
-    /// taps replay against.
-    pub fn fetch_count(&self) -> u64 {
-        self.fetch_count
     }
 
     /// PC at the checkpoint.
@@ -773,7 +618,7 @@ impl ProcessorSnapshot {
         &self.blocks
     }
 
-    /// Serialize the complete checkpoint to bytes for spill to disk.
+    /// Serialize the complete checkpoint to bytes.
     /// Inverse of [`ProcessorSnapshot::from_bytes`]; every field —
     /// architectural core, memory, scheduler, monitor state, and the
     /// dispatch-plane bookkeeping — is written, so a snapshot decoded
@@ -828,28 +673,11 @@ impl ProcessorSnapshot {
         e.u64(self.block_stats.bailouts);
         e.u64(self.block_stats.instructions);
         e.u64(self.block_stats.max_block);
-        e.u64(self.block_stats.chain_hits);
-        e.u64(self.block_stats.chain_misses);
-        e.usize(self.chain.len());
-        for c in &self.chain {
-            e.u32(c.taken.pc);
-            e.u32(c.taken.slot);
-            e.u32(c.fall.pc);
-            e.u32(c.fall.slot);
-        }
         e.usize(self.validated.len());
         for &v in &self.validated {
             e.u64(v);
         }
         e.bytes(&self.live_in_skip);
-        match self.chain_from {
-            None => e.bool(false),
-            Some((slot, taken)) => {
-                e.bool(true);
-                e.u32(slot);
-                e.bool(taken);
-            }
-        }
         e.u32(self.checksum);
         e.into_bytes()
     }
@@ -857,10 +685,10 @@ impl ProcessorSnapshot {
     /// Rebuild a checkpoint serialized by [`ProcessorSnapshot::to_bytes`].
     ///
     /// The architectural integrity checksum is recomputed over the
-    /// decoded contents and compared against the recorded one, so a
-    /// spilled segment whose payload was corrupted in a way its frame
-    /// CRC missed still cannot smuggle a wrong architectural state back
-    /// in ([`Processor::restore`] re-verifies a second time).
+    /// decoded contents and compared against the recorded one, so bytes
+    /// corrupted in transit or at rest cannot smuggle a wrong
+    /// architectural state back in ([`Processor::restore`] re-verifies
+    /// a second time).
     ///
     /// # Errors
     ///
@@ -921,36 +749,13 @@ impl ProcessorSnapshot {
             bailouts: d.u64()?,
             instructions: d.u64()?,
             max_block: d.u64()?,
-            chain_hits: d.u64()?,
-            chain_misses: d.u64()?,
         };
-        let n_chain = d.usize()?;
-        let mut chain = Vec::with_capacity(n_chain.min(1 << 16));
-        for _ in 0..n_chain {
-            chain.push(ChainEdges {
-                taken: ChainEdge {
-                    pc: d.u32()?,
-                    slot: d.u32()?,
-                },
-                fall: ChainEdge {
-                    pc: d.u32()?,
-                    slot: d.u32()?,
-                },
-            });
-        }
         let n_validated = d.usize()?;
         let mut validated = Vec::with_capacity(n_validated.min(1 << 16));
         for _ in 0..n_validated {
             validated.push(d.u64()?);
         }
         let live_in_skip = d.bytes()?.to_vec();
-        let chain_from = if d.bool()? {
-            let slot = d.u32()?;
-            let taken = d.bool()?;
-            Some((slot, taken))
-        } else {
-            None
-        };
         let checksum = d.u32()?;
         let snapshot = ProcessorSnapshot {
             dp,
@@ -968,10 +773,8 @@ impl ProcessorSnapshot {
             blocks,
             shadow_block_start,
             block_stats,
-            chain,
             validated,
             live_in_skip,
-            chain_from,
             checksum,
         };
         if snapshot.compute_checksum() != checksum {
@@ -985,7 +788,7 @@ impl ProcessorSnapshot {
 
 /// Decode a `(start, end)` pair into a [`BlockKey`], converting the
 /// constructor's well-formedness panics (alignment, ordering) into
-/// typed errors — spilled bytes may be corrupt.
+/// typed errors — decoded bytes may be corrupt.
 fn decode_block_key(d: &mut Dec<'_>) -> Result<BlockKey, CodecError> {
     let start = d.u32()?;
     let end = d.u32()?;
@@ -995,7 +798,7 @@ fn decode_block_key(d: &mut Dec<'_>) -> Result<BlockKey, CodecError> {
     Ok(BlockKey::new(start, end))
 }
 
-/// Byte tagging for [`RunOutcome`] in spilled checkpoints.
+/// Byte tagging for [`RunOutcome`] in serialized checkpoints.
 fn encode_outcome(outcome: &RunOutcome, e: &mut Enc) {
     match outcome {
         RunOutcome::Exited { code } => {
@@ -1144,32 +947,17 @@ pub struct Processor {
     /// under this processor's [`TimingConfig`] (a shared cache built
     /// for different latencies falls back to per-instruction issue).
     plans_ok: bool,
-    /// Superblock chain: per block slot, the taken and fall-through
-    /// successor slots observed on earlier dispatches. Empty when
-    /// chaining is off or block dispatch is disabled.
-    chain: Vec<ChainEdges>,
     /// The memory dense-region epoch each slot's block was last
     /// bulk-validated at (`u64::MAX` = never): while no write lands in
     /// the text region, re-dispatching the block skips the byte
     /// comparison entirely.
     validated: Vec<u64>,
-    /// The slot the previous dispatch ran, and whether it exited
-    /// through its taken edge — the link the next dispatch resolves or
-    /// records. Cleared by bail-outs, non-bulk dispatches, and run
-    /// ends, so chains only ever form across clean bulk-validated
-    /// block boundaries.
-    chain_from: Option<(u32, bool)>,
     /// Per-slot planned-dispatch streaks for the live-in skip bit:
     /// counts dispatches on which the plan's provably-dead live-in
     /// checks were evaluated without firing; once a slot reaches
     /// [`LIVE_IN_SKIP_AFTER`], the dead tail is dropped from the
     /// `plan_fits` hot path (see [`BlockPlan::binding_live_in_checks`]).
     live_in_skip: Vec<u8>,
-    /// Splice fast-pass state — `Some` only inside
-    /// [`Processor::run_fast_pass`], where timing bookkeeping is
-    /// suppressed and trailing front-end events are ringed for
-    /// checkpoint reconstruction.
-    fast: Option<Box<FastPass>>,
     dp: Datapath,
     regs: RegFile,
     hi: u32,
@@ -1261,8 +1049,8 @@ impl Processor {
         let mut regs = RegFile::new();
         regs.write(Reg::SP, cimon_mem::image::STACK_TOP);
         regs.write(Reg::GP, image.data.base);
-        let stage_if = Stage::lower(&spec.if_program);
-        let stage_check = spec.id_check_program.as_ref().map(Stage::lower);
+        let stage_if = lower(&spec.if_program);
+        let stage_check = spec.id_check_program.as_ref().map(lower);
         let slot_count = stage_if
             .slot_count()
             .max(stage_check.as_ref().map_or(0, Stage::slot_count));
@@ -1280,7 +1068,7 @@ impl Processor {
         };
         // Under `interp-check`, only an explicit `On` keeps block
         // dispatch: every other cycle must flow through the stage
-        // programs so all three executor tiers stay cross-checked.
+        // programs so both executor tiers stay cross-checked.
         #[cfg(feature = "interp-check")]
         let block_cache = if matches!(config.block_exec, BlockExec::On) {
             block_cache
@@ -1290,12 +1078,6 @@ impl Processor {
         let plans_ok = block_cache
             .as_ref()
             .is_some_and(|c| c.timing_config() == config.timing);
-        let chain = match &block_cache {
-            Some(cache) if config.block_chain => {
-                vec![ChainEdges::EMPTY; cache.len()]
-            }
-            _ => Vec::new(),
-        };
         let validated = match &block_cache {
             Some(cache) => vec![u64::MAX; cache.len()],
             None => Vec::new(),
@@ -1313,11 +1095,8 @@ impl Processor {
             block_cache,
             block_stats: BlockExecStats::default(),
             plans_ok,
-            chain,
             validated,
-            chain_from: None,
             live_in_skip,
-            fast: None,
             dp,
             regs,
             hi: 0,
@@ -1426,32 +1205,10 @@ impl Processor {
         self.instret
     }
 
-    /// The scheduling model — the splice stitcher differences its
-    /// `last_id` across shard boundaries.
-    pub fn timing(&self) -> &Timing {
-        &self.timing
-    }
-
-    /// Re-anchor the schedule at an absolute cycle position (see
-    /// [`Timing::shift`]) — used by the splice budget fix-up to replay
-    /// one shard with serial-exact absolute timing.
-    pub fn shift_timing(&mut self, cycles: u64) {
-        self.timing.shift(cycles);
-    }
-
-    /// Replace the cycle budget. Splice shards replay effectively
-    /// unbounded (`u64::MAX`); the budget fix-up reinstates the real
-    /// limit on the shard that crosses it.
+    /// Replace the cycle budget (fault campaigns bound each faulted
+    /// run tighter than the reference run).
     pub fn set_max_cycles(&mut self, max_cycles: u64) {
         self.max_cycles = max_cycles;
-    }
-
-    /// Arm (or disarm, with `None`) the wall-clock watchdog, measuring
-    /// from now. Splice shards re-arm after restore so every shard gets
-    /// its own deadline rather than inheriting the serial run's.
-    pub fn set_max_wall(&mut self, max_wall: Option<Duration>) {
-        self.deadline = max_wall.map(|wall| Instant::now() + wall);
-        self.next_watchdog = self.instret + self.watchdog_stride;
     }
 
     /// Poll the wall-clock watchdog. Unarmed: one branch. Armed: one
@@ -1476,10 +1233,6 @@ impl Processor {
     /// (the block-event log is cloned too, but it is empty unless
     /// [`ProcessorConfig::record_blocks`] is set).
     pub fn snapshot(&self) -> ProcessorSnapshot {
-        self.snapshot_with_timing(self.timing.clone())
-    }
-
-    fn snapshot_with_timing(&self, timing: Timing) -> ProcessorSnapshot {
         let mut snapshot = ProcessorSnapshot {
             dp: self.dp.clone(),
             regs: self.regs.clone(),
@@ -1488,7 +1241,7 @@ impl Processor {
             mem: self.env.mem.clone(),
             fetch_count: self.env.bus.fetch_count(),
             monitor: self.env.monitor.snapshot_state(),
-            timing,
+            timing: self.timing.clone(),
             pc: self.pc,
             done: self.done,
             instret: self.instret,
@@ -1496,18 +1249,16 @@ impl Processor {
             blocks: self.blocks.clone(),
             shadow_block_start: self.shadow_block_start,
             block_stats: self.block_stats,
-            chain: self.chain.clone(),
             validated: self.validated.clone(),
             live_in_skip: self.live_in_skip.clone(),
-            chain_from: self.chain_from,
             checksum: 0,
         };
         snapshot.checksum = snapshot.compute_checksum();
         snapshot
     }
 
-    /// Reinstate a checkpoint taken by [`Processor::snapshot`] (or
-    /// emitted by [`Processor::run_fast_pass`]). The processor must
+    /// Reinstate a checkpoint taken by [`Processor::snapshot`]. The
+    /// processor must
     /// have been built from the same image and [`ProcessorConfig`] as
     /// the one that took the snapshot; configuration (specs, caches,
     /// budget) and any installed bus tap are left untouched.
@@ -1526,7 +1277,6 @@ impl Processor {
                 found,
             });
         }
-        debug_assert_eq!(self.chain.len(), snapshot.chain.len());
         debug_assert_eq!(self.validated.len(), snapshot.validated.len());
         self.dp = snapshot.dp.clone();
         self.regs = snapshot.regs.clone();
@@ -1545,88 +1295,16 @@ impl Processor {
         self.blocks = snapshot.blocks.clone();
         self.shadow_block_start = snapshot.shadow_block_start;
         self.block_stats = snapshot.block_stats;
-        self.chain = snapshot.chain.clone();
         self.validated = snapshot.validated.clone();
         self.live_in_skip = snapshot.live_in_skip.clone();
-        self.chain_from = snapshot.chain_from;
-        self.fast = None;
         Ok(())
     }
 
-    /// Run the splice fast pass to completion: functional and monitor
-    /// state advance exactly as [`Processor::run`] would leave them,
-    /// but scheduler bookkeeping is suppressed. The pass emits a
-    /// checkpoint into `sink` at the first dispatch boundary after
-    /// every `interval` retired instructions, with scheduler state
-    /// reconstructed from the trailing event window — exact up to the
-    /// uniform shift the splice stitcher re-accumulates (see
-    /// [`Timing::replay`]).
-    ///
-    /// The cycle budget degrades to a retired-instruction proxy and
-    /// `ReadCycles` poisons the pass — both surfaced through the
-    /// returned [`FastPassReport`].
-    pub fn run_fast_pass(
-        &mut self,
-        interval: u64,
-        mut sink: impl FnMut(ProcessorSnapshot),
-    ) -> FastPassReport {
-        let interval = interval.max(1);
-        let config = self.timing.config();
-        let horizon = config.replay_horizon();
-        // Events only accumulate while armed, and the arming check runs
-        // once per dispatch, which can overshoot by a block — pad the
-        // margin so the ring always holds a full horizon by emit time.
-        let margin = (horizon + 2 * MAX_BLOCK_LEN) as u64;
-        self.fast = Some(Box::new(FastPass::new(horizon)));
-        let cache = self.block_cache.clone();
-        let mut next_target = interval;
-        let outcome = loop {
-            let want_armed = self.instret + margin >= next_target;
-            {
-                let fast = self
-                    .fast
-                    .as_mut()
-                    .unwrap_or_else(|| unreachable!("fast pass installed above"));
-                if want_armed && !fast.armed {
-                    // Re-arming after a gap: whatever the ring still
-                    // holds is not contiguous with what comes next.
-                    fast.ring.clear();
-                }
-                fast.armed = want_armed;
-            }
-            let stepped = match &cache {
-                Some(c) => self.step_block_in(c),
-                None => self.step(),
-            };
-            if let Some(outcome) = stepped {
-                break outcome;
-            }
-            if self.instret >= next_target {
-                let fast = self
-                    .fast
-                    .as_mut()
-                    .unwrap_or_else(|| unreachable!("fast pass installed above"));
-                let mut timing = Timing::replay(config, fast.ring.make_contiguous());
-                timing.set_counters(self.instret, fast.stall_cycles);
-                sink(self.snapshot_with_timing(timing));
-                next_target = self.instret + interval;
-            }
-        };
-        let fast = self
-            .fast
-            .take()
-            .unwrap_or_else(|| unreachable!("fast pass installed above"));
-        FastPassReport {
-            outcome,
-            timing_dependent: fast.timing_dependent,
-        }
-    }
-
-    /// Replay (with full timing and monitoring) until `target` retired
-    /// instructions, or until the run ends. Fast-pass checkpoints land
-    /// on dispatch boundaries, and dispatch boundaries are
-    /// architectural, so a shard replaying to the next checkpoint's
-    /// [`ProcessorSnapshot::instret`] stops on it exactly.
+    /// Run (with full timing and monitoring) until at least `target`
+    /// retired instructions, or until the run ends. The stop lands on
+    /// the first dispatch boundary at or past `target`; dispatch
+    /// boundaries are architectural, so checkpoints taken here are the
+    /// same for every run of the same program and configuration.
     pub fn run_to_instret(&mut self, target: u64) -> Option<RunOutcome> {
         if let Some(done) = self.done {
             return Some(done);
@@ -1645,26 +1323,6 @@ impl Processor {
             }
         }
         None
-    }
-
-    /// Timing bookkeeping, or its fast-pass stand-in: record the event
-    /// (when within a checkpoint's arming window) instead of issuing it.
-    #[inline]
-    fn issue_or_record(&mut self, class: IssueClass, src_mask: u64, dest_mask: u64, taken: bool) {
-        match &mut self.fast {
-            Some(fast) => fast.record_issue(class, src_mask, dest_mask, taken),
-            None => {
-                self.timing.issue_masks(class, src_mask, dest_mask, taken);
-            }
-        }
-    }
-
-    #[inline]
-    fn stall_or_record(&mut self, cycles: u64) {
-        match &mut self.fast {
-            Some(fast) => fast.record_stall(cycles),
-            None => self.timing.stall(cycles),
-        }
     }
 
     /// Run until the program ends (one way or another).
@@ -1698,14 +1356,7 @@ impl Processor {
         if let Some(done) = self.done {
             return Some(done);
         }
-        let over_budget = match &self.fast {
-            // Fast pass: cycles are suppressed, but instructions only
-            // ever under-approximate them, so this proxy trips at or
-            // after the point the timed run would stop.
-            Some(_) => self.instret > self.max_cycles,
-            None => self.timing.cycles() > self.max_cycles,
-        };
-        if over_budget {
+        if self.timing.cycles() > self.max_cycles {
             return self.finish(RunOutcome::MaxCycles);
         }
         if self.watchdog_fired() {
@@ -1791,22 +1442,15 @@ impl Processor {
 
         // ---- Timing (the slice-based path: the oracle the mask and
         // block fast paths are differentially tested against). ----
-        match &mut self.fast {
-            Some(fast) => {
-                fast.record_issue(entry.klass, entry.src_mask, entry.dest_mask, exec.taken)
-            }
-            None => {
-                self.timing.issue(
-                    entry.klass,
-                    entry.sources.as_slice(),
-                    entry.reads_hi,
-                    entry.reads_lo,
-                    entry.dest,
-                    entry.writes_hilo,
-                    exec.taken,
-                );
-            }
-        }
+        self.timing.issue(
+            entry.klass,
+            entry.sources.as_slice(),
+            entry.reads_hi,
+            entry.reads_lo,
+            entry.dest,
+            entry.writes_hilo,
+            exec.taken,
+        );
         self.instret += 1;
 
         // ---- Monitoring exception resolution (after issue). ----
@@ -1866,49 +1510,12 @@ impl Processor {
         if let Some(done) = self.done {
             return Some(done);
         }
-        if self.fast.is_some() && self.instret > self.max_cycles {
-            // Fast pass: per-dispatch retired-instruction proxy for the
-            // suppressed cycle budget (see `FastPassReport::outcome`).
-            return self.finish(RunOutcome::MaxCycles);
-        }
         if self.watchdog_fired() {
             return self.finish(RunOutcome::Watchdog);
         }
         let pc = self.pc;
-
-        // ---- Superblock chaining: resolve the dispatch slot through
-        // the previous block's cached successor edge when possible,
-        // falling back to (and refreshing the edge from) the cache
-        // lookup. The edge caches only the PC→slot mapping — block
-        // validation below still runs on every dispatch, so a chained
-        // entry can never skip a tamper check.
-        let slot = match self.chain_from.take() {
-            Some((from, taken)) => {
-                let edges = &self.chain[from as usize];
-                let edge = if taken { edges.taken } else { edges.fall };
-                if edge.slot != u32::MAX && edge.pc == pc {
-                    self.block_stats.chain_hits += 1;
-                    Some(edge.slot)
-                } else {
-                    self.block_stats.chain_misses += 1;
-                    let found = cache.slot_at(pc);
-                    if let Some(s) = found {
-                        let edges = &mut self.chain[from as usize];
-                        let edge = if taken {
-                            &mut edges.taken
-                        } else {
-                            &mut edges.fall
-                        };
-                        *edge = ChainEdge { pc, slot: s };
-                    }
-                    found
-                }
-            }
-            None => cache.slot_at(pc),
-        };
-        let slot = match slot {
-            Some(s) => s,
-            None => return self.step(),
+        let Some(slot) = cache.slot_at(pc) else {
+            return self.step();
         };
         let block = cache.block_at_slot(slot);
 
@@ -1957,30 +1564,21 @@ impl Processor {
             // in one `Timing::issue_block` call; otherwise every
             // instruction issues through the mask fast path.
             let plan = cache.plan_at(slot);
-            let planned = match &self.fast {
-                // Fast pass: the schedule is suppressed, so the plan is
-                // never consulted — the fused loop (which also batches
-                // the monitor calls) is always eligible.
-                Some(_) => true,
-                None => {
-                    let s = slot as usize;
-                    let skip = self.live_in_skip[s] >= LIVE_IN_SKIP_AFTER;
-                    let checks = if skip {
-                        plan.binding_live_in_checks()
-                    } else {
-                        plan.live_in_checks()
-                    };
-                    let fits = self.plans_ok
-                        && self.timing.plan_fits_prefix(plan, self.max_cycles, checks);
-                    // The provably-dead tail was evaluated and (by
-                    // construction) did not fire: advance the slot's
-                    // skip streak toward dropping it.
-                    if !skip && self.plans_ok && plan.provably_dead_checks() > 0 {
-                        self.live_in_skip[s] += 1;
-                    }
-                    fits
-                }
+            let s = slot as usize;
+            let skip = self.live_in_skip[s] >= LIVE_IN_SKIP_AFTER;
+            let checks = if skip {
+                plan.binding_live_in_checks()
+            } else {
+                plan.live_in_checks()
             };
+            let planned =
+                self.plans_ok && self.timing.plan_fits_prefix(plan, self.max_cycles, checks);
+            // The provably-dead tail was evaluated and (by
+            // construction) did not fire: advance the slot's skip
+            // streak toward dropping it.
+            if !skip && self.plans_ok && plan.provably_dead_checks() > 0 {
+                self.live_in_skip[s] += 1;
+            }
             if planned {
                 self.block_loop_planned(
                     block.entries,
@@ -2014,12 +1612,8 @@ impl Processor {
             // Mid-block surprise: hand exactly this instruction — with
             // the word the bus actually delivered — to the
             // per-instruction path, the datapath synced to what the IF
-            // micro-program would have produced. The tampered block's
-            // cached successor edges are dropped with it.
+            // micro-program would have produced.
             self.block_stats.bailouts += 1;
-            if let Some(edges) = self.chain.get_mut(slot as usize) {
-                *edges = ChainEdges::EMPTY;
-            }
             self.account_dispatch(dispatch_start);
             self.dp.write(DReg::Cpc, pc.wrapping_add(INSTR_BYTES));
             self.dp.write(DReg::IReg, word);
@@ -2042,16 +1636,7 @@ impl Processor {
         self.account_dispatch(dispatch_start);
         match exit {
             BlockLoopExit::Finished(outcome) => self.finish(outcome),
-            BlockLoopExit::Done { taken } => {
-                // A clean bulk-validated dispatch links its resolved
-                // control transfer for the next dispatch; per-word
-                // dispatches (self-modification or taps possible) never
-                // form chains.
-                if bulk && !self.chain.is_empty() {
-                    self.chain_from = Some((slot, taken));
-                }
-                None
-            }
+            BlockLoopExit::Done => None,
             BlockLoopExit::Bail { .. } => unreachable!("handled above"),
         }
     }
@@ -2070,10 +1655,9 @@ impl Processor {
         rhash: &mut u32,
         reached: &mut u64,
     ) -> BlockLoopExit {
-        let mut taken = false;
         for entry in entries {
             let pc = self.pc;
-            if self.fast.is_none() && self.timing.cycles() > self.max_cycles {
+            if self.timing.cycles() > self.max_cycles {
                 return BlockLoopExit::Finished(RunOutcome::MaxCycles);
             }
             let word = if BULK {
@@ -2127,14 +1711,14 @@ impl Processor {
                 Ok(e) => e,
                 Err(fault) => return BlockLoopExit::Finished(RunOutcome::Fault(fault)),
             };
-            self.issue_or_record(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
+            self.timing
+                .issue_masks(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
             self.instret += 1;
-            taken = exec.taken;
 
             // ---- Exception resolution (after issue). ----
             if let Some((kind, key, hash)) = pending {
                 match self.env.monitor.resolve(kind, key, hash) {
-                    Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                    Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                     Verdict::Kill(cause) => {
                         return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
                     }
@@ -2145,7 +1729,7 @@ impl Processor {
             }
             self.pc = exec.next_pc;
         }
-        BlockLoopExit::Done { taken }
+        BlockLoopExit::Done
     }
 
     /// The fused-timing variant of one bulk-validated block dispatch:
@@ -2219,7 +1803,8 @@ impl Processor {
                 }
             }
             for e in &body[..executed] {
-                self.issue_or_record(e.klass, e.src_mask, e.dest_mask, false);
+                self.timing
+                    .issue_masks(e.klass, e.src_mask, e.dest_mask, false);
             }
             self.instret += executed as u64;
             return BlockLoopExit::Finished(RunOutcome::Fault(f));
@@ -2231,10 +1816,7 @@ impl Processor {
         // whole block batches into a single monitor transaction.
         *reached += entries.len() as u64;
         if !body.is_empty() {
-            match &mut self.fast {
-                Some(fast) => fast.record_block(body),
-                None => self.timing.issue_block(plan, x),
-            }
+            self.timing.issue_block(plan, x);
             self.instret += body.len() as u64;
         }
 
@@ -2276,11 +1858,12 @@ impl Processor {
             Ok(e) => e,
             Err(f) => return BlockLoopExit::Finished(RunOutcome::Fault(f)),
         };
-        self.issue_or_record(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
+        self.timing
+            .issue_masks(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
         self.instret += 1;
         if let Some((kind, key, hash)) = pending {
             match self.env.monitor.resolve(kind, key, hash) {
-                Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => {
                     return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
                 }
@@ -2290,7 +1873,7 @@ impl Processor {
             return BlockLoopExit::Finished(RunOutcome::Exited { code });
         }
         self.pc = exec.next_pc;
-        BlockLoopExit::Done { taken: exec.taken }
+        BlockLoopExit::Done
     }
 
     /// Fold one finished dispatch into the block-exec counters.
@@ -2318,7 +1901,7 @@ impl Processor {
         for i in 0..self.env.exceptions.len() {
             let kind = self.env.exceptions[i];
             match self.env.monitor.resolve(kind, key, hash) {
-                Verdict::Continue { stall_cycles } => self.stall_or_record(stall_cycles),
+                Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => return Some(RunOutcome::Detected { cause, pc }),
             }
         }
@@ -2384,35 +1967,6 @@ impl Exec {
             exit: None,
         }
     }
-}
-
-/// One cached successor edge of a dispatched block: the PC control
-/// transferred to and the block slot serving it. `slot == u32::MAX`
-/// marks an unresolved edge.
-#[derive(Clone, Copy, Debug)]
-struct ChainEdge {
-    pc: u32,
-    slot: u32,
-}
-
-/// The taken and fall-through successor edges of one block slot.
-#[derive(Clone, Copy, Debug)]
-struct ChainEdges {
-    taken: ChainEdge,
-    fall: ChainEdge,
-}
-
-impl ChainEdges {
-    const EMPTY: ChainEdges = ChainEdges {
-        taken: ChainEdge {
-            pc: 0,
-            slot: u32::MAX,
-        },
-        fall: ChainEdge {
-            pc: 0,
-            slot: u32::MAX,
-        },
-    };
 }
 
 /// A pre-bound executor for one predecoded instruction: the
@@ -2515,11 +2069,6 @@ fn exec_syscall(cpu: &mut Processor, pc: u32, _e: &PredecodedEntry) -> Result<Ex
                 .push(ConsoleEvent::Char((a0 & 0xff) as u8 as char));
         }
         Some(Syscall::ReadCycles) => {
-            if let Some(fast) = &mut cpu.fast {
-                // The schedule is suppressed: the value written below is
-                // stale, so the whole fast pass must be discarded.
-                fast.timing_dependent = true;
-            }
             let c = cpu.timing.cycles() as u32;
             cpu.regs.write(Reg::V0, c);
         }
@@ -2617,12 +2166,8 @@ fn exec_jal(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, F
 
 /// How one block-dispatch loop ended.
 enum BlockLoopExit {
-    /// Every entry executed; the block completed normally, exiting
-    /// through its taken (`true`) or fall-through (`false`) edge.
-    Done {
-        /// Whether the terminating instruction redirected fetch.
-        taken: bool,
-    },
+    /// Every entry executed; the block completed normally.
+    Done,
     /// The run ended (exit, fault, detection, cycle budget).
     Finished(RunOutcome),
     /// A delivered word diverged from its predecoded form: the current
@@ -2994,7 +2539,6 @@ mod tests {
         let decoded = ProcessorSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(decoded.checksum(), snap.checksum());
         assert_eq!(decoded.instret(), snap.instret());
-        assert_eq!(decoded.fetch_count(), snap.fetch_count());
         assert_eq!(decoded.pc(), snap.pc());
         // Encoding is deterministic: a decoded snapshot re-encodes to
         // the same bytes (segment dedup and the differential suites
@@ -3038,10 +2582,9 @@ mod tests {
                 Err(_) => {}
                 Ok(decoded) => {
                     // Flips outside the checksummed architectural core
-                    // (scheduler, chain edges, stats) decode cleanly;
-                    // they are covered by the segment frame CRC above
-                    // this layer. What must never happen is a clean
-                    // decode whose *architectural* state changed.
+                    // (scheduler, stats) may decode cleanly. What must
+                    // never happen is a clean decode whose
+                    // *architectural* state changed.
                     assert_eq!(
                         decoded.compute_checksum(),
                         decoded.checksum(),
@@ -3052,91 +2595,6 @@ mod tests {
             i += step;
             step = (step % 7) + 1; // sample positions, keep the test fast
         }
-    }
-
-    #[test]
-    fn fast_pass_matches_serial_architecturally() {
-        let (prog, fht) = trace_fht(SUM_LOOP);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        // Tamper the stored image so the pass exercises detection too.
-        let victim = prog.image.entry + 8;
-        let mut serial = Processor::new(&prog.image, config.clone());
-        let old = serial.mem().read_u32(victim).unwrap();
-        serial.mem_mut().write_u32(victim, old ^ (1 << 20)).unwrap();
-        let out_serial = serial.run();
-        assert!(matches!(out_serial, RunOutcome::Detected { .. }));
-
-        let mut fast = Processor::new(&prog.image, config);
-        fast.mem_mut().write_u32(victim, old ^ (1 << 20)).unwrap();
-        let report = fast.run_fast_pass(1_000_000, |_| {});
-        assert!(!report.timing_dependent);
-        assert_eq!(report.outcome, out_serial);
-        assert_eq!(serial.stats().instructions, fast.stats().instructions);
-        assert_eq!(serial.stats().cic, fast.stats().cic);
-        assert_eq!(serial.stats().os, fast.stats().os);
-        assert_eq!(serial.stats().console, fast.stats().console);
-        assert_eq!(serial.regs().snapshot(), fast.regs().snapshot());
-        assert_eq!(serial.block_stats(), fast.block_stats());
-    }
-
-    #[test]
-    fn fast_pass_flags_read_cycles() {
-        let prog =
-            assemble(".text\nmain: li $v0, 30\nsyscall\nli $v0, 10\nli $a0, 0\nsyscall\n").unwrap();
-        let mut cpu = Processor::new(&prog.image, ProcessorConfig::baseline());
-        let report = cpu.run_fast_pass(1_000_000, |_| {});
-        assert!(report.timing_dependent);
-    }
-
-    #[test]
-    fn fast_pass_checkpoints_splice_to_serial_cycles() {
-        let (prog, fht) = trace_fht(SUM_LOOP);
-        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-        let mut serial = Processor::new(&prog.image, config.clone());
-        let out_serial = serial.run();
-
-        let mut fast = Processor::new(&prog.image, config.clone());
-        let mut snaps = Vec::new();
-        let report = fast.run_fast_pass(10, |s| snaps.push(s));
-        assert!(!report.timing_dependent);
-        assert_eq!(report.outcome, out_serial);
-        assert!(snaps.len() >= 2, "want several checkpoints: {snaps:?}");
-
-        // Stitch: shard 0 replays from the start, every later shard
-        // restores its checkpoint and replays to the next boundary.
-        // The summed schedule advances plus the pipeline fill must
-        // reproduce the serial cycle count exactly, and the last shard
-        // must end in the serial run's architectural + monitor state.
-        let mut total = 0u64;
-        let mut last = None;
-        for i in 0..=snaps.len() {
-            let mut shard = Processor::new(&prog.image, config.clone());
-            if i > 0 {
-                shard.restore(&snaps[i - 1]).unwrap();
-            }
-            shard.set_max_cycles(u64::MAX);
-            let start = shard.timing().last_id();
-            let target = snaps.get(i).map_or(u64::MAX, |s| s.instret());
-            let out = shard.run_to_instret(target);
-            if let Some(s) = snaps.get(i) {
-                assert!(out.is_none());
-                assert_eq!(shard.instret(), s.instret(), "shard lands on its boundary");
-            } else {
-                assert_eq!(out, Some(out_serial));
-            }
-            total += shard.timing().last_id() - start;
-            last = Some(shard);
-        }
-        let last = last.unwrap();
-        assert_eq!(total + 4, serial.cycles());
-        let (ls, ss) = (last.stats(), serial.stats());
-        assert_eq!(ls.instructions, ss.instructions);
-        assert_eq!(ls.monitor_stall_cycles, ss.monitor_stall_cycles);
-        assert_eq!(ls.cic, ss.cic);
-        assert_eq!(ls.os, ss.os);
-        assert_eq!(ls.console, ss.console);
-        assert_eq!(last.block_stats(), serial.block_stats());
-        assert_eq!(last.regs().snapshot(), serial.regs().snapshot());
     }
 
     #[test]

@@ -50,44 +50,6 @@ impl Default for TimingConfig {
     }
 }
 
-impl TimingConfig {
-    /// Number of trailing [`TimingEvent`]s that fully determine the
-    /// scheduler's future behaviour, up to a uniform shift of all
-    /// absolute cycle numbers.
-    ///
-    /// A readiness bound published by an instruction reaches at most
-    /// `id + 4 + (max unit latency − 1)` and in-order issue advances
-    /// the front end at least one cycle per instruction, so a bound
-    /// published more than this many issues ago sits at or below the
-    /// next instruction's nominal ID and can never bind again. The
-    /// floor of 64 keeps the window generous for free.
-    pub fn replay_horizon(self) -> usize {
-        64.max(4 + self.mult_latency.max(self.div_latency) as usize)
-    }
-}
-
-/// One recorded front-end event: the arguments of a
-/// [`Timing::issue_masks`] or [`Timing::stall`] call. The splice fast
-/// pass rings the trailing [`TimingConfig::replay_horizon`] of these so
-/// a checkpoint can rebuild scheduler state via [`Timing::replay`]
-/// without having paid for timing bookkeeping along the way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimingEvent {
-    /// An instruction issued.
-    Issue {
-        /// Its timing class.
-        class: IssueClass,
-        /// Registers read (predecoded mask).
-        src_mask: u64,
-        /// Registers written (predecoded mask).
-        dest_mask: u64,
-        /// Whether it redirected fetch.
-        taken: bool,
-    },
-    /// The front end froze for this many cycles (exception handling).
-    Stall(u64),
-}
-
 /// Register-transfer timing class of one instruction, as the scheduler
 /// sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -388,13 +350,6 @@ impl Timing {
         }
     }
 
-    /// The last ID cycle assigned. The splice stitcher differences this
-    /// across a shard to get the shard's exact cycle contribution
-    /// (replayed schedules are shifted, so only deltas are meaningful).
-    pub fn last_id(&self) -> u64 {
-        self.last_id
-    }
-
     /// Instructions scheduled.
     pub fn instructions(&self) -> u64 {
         self.instructions
@@ -405,59 +360,9 @@ impl Timing {
         self.stall_cycles
     }
 
-    /// Rebuild scheduler state by replaying recorded events onto a
-    /// fresh schedule. When `events` covers at least the trailing
-    /// [`TimingConfig::replay_horizon`] of a run (or the run entire),
-    /// the result agrees with the uninterrupted schedule on every
-    /// future scheduling decision; absolute cycle numbers carry a
-    /// per-checkpoint shift the splice stitcher sums back together, and
-    /// the instruction/stall counters reflect only the window (see
-    /// [`Timing::set_counters`]).
-    pub fn replay(config: TimingConfig, events: &[TimingEvent]) -> Timing {
-        let mut t = Timing::new(config);
-        for e in events {
-            match *e {
-                TimingEvent::Issue {
-                    class,
-                    src_mask,
-                    dest_mask,
-                    taken,
-                } => {
-                    t.issue_masks(class, src_mask, dest_mask, taken);
-                }
-                TimingEvent::Stall(n) => t.stall(n),
-            }
-        }
-        t
-    }
-
-    /// Overwrite the instruction and stall counters. Checkpoint
-    /// reconstruction via [`Timing::replay`] leaves them counting only
-    /// the replayed window; the splice layer reinstates the run-level
-    /// values it tracked architecturally.
-    pub fn set_counters(&mut self, instructions: u64, stall_cycles: u64) {
-        self.instructions = instructions;
-        self.stall_cycles = stall_cycles;
-    }
-
-    /// Add `cycles` to every absolute cycle number in the schedule —
-    /// the last ID and each pending readiness bound — leaving all
-    /// relative state, and therefore every future scheduling decision,
-    /// untouched. The spliced budget fix-up uses this to re-anchor a
-    /// shard's replayed schedule at its serial absolute position before
-    /// applying the real cycle budget.
-    pub fn shift(&mut self, cycles: u64) {
-        self.last_id += cycles;
-        for b in self.ready_id.iter_mut().chain(self.ready_ex.iter_mut()) {
-            if *b != 0 {
-                *b += cycles;
-            }
-        }
-    }
-
     /// Serialize the complete scheduler state — config, both readiness
     /// tables, the front-end cursor, and the counters — for checkpoint
-    /// spill. Inverse of [`Timing::decode_from`].
+    /// serialization. Inverse of [`Timing::decode_from`].
     pub fn encode_into(&self, e: &mut Enc) {
         e.u32(self.config.mult_latency);
         e.u32(self.config.div_latency);
@@ -907,117 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_preserves_relative_decisions() {
-        let seq = |t: &mut Timing| {
-            vec![
-                t.issue(
-                    IssueClass::Load,
-                    &[Reg::SP],
-                    false,
-                    false,
-                    Some(Reg::T0),
-                    false,
-                    false,
-                ),
-                t.issue(
-                    IssueClass::IdReader,
-                    &[Reg::T0],
-                    false,
-                    false,
-                    None,
-                    false,
-                    true,
-                ),
-                alu(t, &[], Some(Reg::T1)),
-            ]
-        };
-        let mut plain = Timing::default();
-        alu(&mut plain, &[], Some(Reg::T2));
-        let mut shifted = plain.clone();
-        shifted.shift(1000);
-        let a = seq(&mut plain);
-        let b = seq(&mut shifted);
-        let diff: Vec<u64> = b.iter().zip(&a).map(|(x, y)| x - y).collect();
-        assert_eq!(diff, vec![1000, 1000, 1000]);
-        assert_eq!(shifted.last_id(), plain.last_id() + 1000);
-    }
-
-    #[test]
-    fn replay_window_matches_full_history() {
-        // Build a history longer than the horizon, then check that
-        // replaying only the trailing window yields the same schedule
-        // for what follows, up to a uniform shift.
-        let cfg = TimingConfig::default();
-        let events: Vec<TimingEvent> = (0..200u64)
-            .map(|i| match i % 7 {
-                0 => TimingEvent::Issue {
-                    class: IssueClass::Load,
-                    src_mask: 1 << 29,
-                    dest_mask: 1 << ((i % 20) + 8),
-                    taken: false,
-                },
-                1 => TimingEvent::Stall(3),
-                2 => TimingEvent::Issue {
-                    class: IssueClass::MulDiv { is_div: i % 2 == 0 },
-                    src_mask: (1 << 8) | (1 << 9),
-                    dest_mask: MASK_HI | MASK_LO,
-                    taken: false,
-                },
-                3 => TimingEvent::Issue {
-                    class: IssueClass::IdReader,
-                    src_mask: 1 << ((i % 20) + 8),
-                    dest_mask: 0,
-                    taken: true,
-                },
-                _ => TimingEvent::Issue {
-                    class: IssueClass::Alu,
-                    src_mask: 1 << ((i % 3) + 8),
-                    dest_mask: 1 << ((i % 5) + 10),
-                    taken: false,
-                },
-            })
-            .collect();
-        let mut full = Timing::replay(cfg, &events);
-        let window = cfg.replay_horizon();
-        let mut windowed = Timing::replay(cfg, &events[events.len() - window..]);
-        let shift = full.last_id() - windowed.last_id();
-        // Continue both with the same suffix; decisions must agree.
-        for i in 0..50u64 {
-            let a = full.issue_masks(
-                IssueClass::IdReader,
-                1 << ((i % 22) + 8),
-                1 << ((i % 4) + 16),
-                i % 3 == 0,
-            );
-            let b = windowed.issue_masks(
-                IssueClass::IdReader,
-                1 << ((i % 22) + 8),
-                1 << ((i % 4) + 16),
-                i % 3 == 0,
-            );
-            assert_eq!(a, b + shift, "diverged at suffix instruction {i}");
-        }
-    }
-
-    #[test]
-    fn replay_counters_cover_only_the_window() {
-        let cfg = TimingConfig::default();
-        let events = [
-            TimingEvent::Issue {
-                class: IssueClass::Alu,
-                src_mask: 0,
-                dest_mask: 1 << 8,
-                taken: false,
-            },
-            TimingEvent::Stall(7),
-        ];
-        let mut t = Timing::replay(cfg, &events);
-        assert_eq!((t.instructions(), t.stall_cycles()), (1, 7));
-        t.set_counters(1_000_000, 4242);
-        assert_eq!((t.instructions(), t.stall_cycles()), (1_000_000, 4242));
-    }
-
-    #[test]
     fn encode_decode_round_trips_scheduler_state() {
         let mut t = Timing::default();
         t.issue(
@@ -1046,7 +840,7 @@ mod tests {
         let mut back = Timing::decode_from(&mut d).unwrap();
         d.finish().unwrap();
         assert_eq!(back.config(), t.config());
-        assert_eq!(back.last_id(), t.last_id());
+        assert_eq!(back.cycles(), t.cycles());
         assert_eq!(back.instructions(), t.instructions());
         assert_eq!(back.stall_cycles(), t.stall_cycles());
         // Every future decision must agree, including the pending

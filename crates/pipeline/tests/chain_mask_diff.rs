@@ -1,15 +1,14 @@
-//! Differential property tests for superblock chaining plus the
-//! block-static scheduling fast paths, in the style of
-//! `block_exec_diff.rs`.
+//! Differential property tests for the block-static scheduling fast
+//! paths — mask-based issue and planned block timing — on hot loops,
+//! in the style of `block_exec_diff.rs`.
 //!
-//! Three processors run every scenario: block dispatch with chaining
-//! (the default), block dispatch with chaining forced off (the
-//! `CIMON_BLOCK_CHAIN=off` fallback CI gates), and per-instruction
-//! stepping (the slice-based oracle — its timing path is
-//! `Timing::issue`, its dispatch is the stage micro-programs). All
-//! three must agree byte-for-byte on outcome, statistics, cycles, and
-//! registers under stored-image tampering, in-flight bus-fault taps,
-//! and mid-block cycle-budget interrupts.
+//! Two processors run every scenario: block dispatch (mask issue and
+//! the fused planned-timing loop) and per-instruction stepping (the
+//! slice-based oracle — its timing path is `Timing::issue`, its
+//! dispatch is the stage micro-programs). Both must agree
+//! byte-for-byte on outcome, statistics, cycles, and registers under
+//! stored-image tampering, in-flight bus-fault taps, and mid-block
+//! cycle-budget interrupts.
 
 use proptest::prelude::*;
 
@@ -18,7 +17,7 @@ use cimon_core::hash::hash_words;
 use cimon_core::{BlockRecord, CicConfig, HashAlgoKind};
 use cimon_mem::BusTap;
 use cimon_os::FullHashTable;
-use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, RunOutcome};
+use cimon_pipeline::{BlockExec, Processor, ProcessorConfig};
 
 /// A one-shot transient fault: flip `bit` of the word fetched from
 /// `target`, once.
@@ -39,8 +38,8 @@ impl BusTap for OneShot {
     }
 }
 
-/// A generated random program: backward loops (so chains form on hot
-/// edges), ALU/memory traffic, and a clean exit. Loop trip counts are
+/// A generated random program: backward loops (so planned blocks
+/// re-dispatch on hot edges), ALU/memory traffic, and a clean exit. Loop trip counts are
 /// bounded by construction: each loop counter decrements to zero.
 #[derive(Clone, Debug)]
 struct RandomProgram {
@@ -71,7 +70,7 @@ prop_compose! {
         }
         // `loops` nested-free counted loops, each with a random
         // straight-line body — taken back edges every iteration, so
-        // superblock chains form and re-fire.
+        // the same block plans replay again and again.
         for l in 0..loops {
             let trips = 2 + next() % 9;
             let _ = writeln!(src, "    li $s0, {trips}");
@@ -99,52 +98,35 @@ prop_compose! {
     }
 }
 
-fn variant(config: &ProcessorConfig, block: bool, chain: bool, max_cycles: u64) -> ProcessorConfig {
+fn variant(config: &ProcessorConfig, block: bool, max_cycles: u64) -> ProcessorConfig {
     let mut c = config.clone();
     c.block_exec = if block { BlockExec::On } else { BlockExec::Off };
-    c.block_chain = chain;
     c.max_cycles = max_cycles;
     c
 }
 
-/// Run chained, unchained, and per-instruction processors over the
-/// same scenario and assert byte-identical architectural results.
+/// Run block-dispatch and per-instruction processors over the same
+/// scenario and assert byte-identical architectural results.
 fn assert_equivalent(
     image: &cimon_mem::ProgramImage,
     config: &ProcessorConfig,
     max_cycles: u64,
     prepare: impl Fn(&mut Processor),
 ) {
-    let mut chained = Processor::new(image, variant(config, true, true, max_cycles));
-    let mut unchained = Processor::new(image, variant(config, true, false, max_cycles));
-    let mut oracle = Processor::new(image, variant(config, false, false, max_cycles));
-    prepare(&mut chained);
-    prepare(&mut unchained);
+    let mut block = Processor::new(image, variant(config, true, max_cycles));
+    let mut oracle = Processor::new(image, variant(config, false, max_cycles));
+    prepare(&mut block);
     prepare(&mut oracle);
-    let out = chained.run();
-    assert_eq!(out, unchained.run(), "chain on/off outcome diverged");
+    let out = block.run();
     assert_eq!(out, oracle.run(), "block/oracle outcome diverged");
-    assert_eq!(chained.stats(), unchained.stats(), "chain on/off stats");
-    assert_eq!(chained.stats(), oracle.stats(), "block/oracle stats");
-    assert_eq!(chained.cycles(), oracle.cycles(), "cycles diverged");
+    assert_eq!(block.stats(), oracle.stats(), "block/oracle stats");
+    assert_eq!(block.cycles(), oracle.cycles(), "cycles diverged");
     assert_eq!(
-        chained.regs().snapshot(),
+        block.regs().snapshot(),
         oracle.regs().snapshot(),
         "registers diverged"
     );
-    assert_eq!(
-        unchained.regs().snapshot(),
-        oracle.regs().snapshot(),
-        "unchained registers diverged"
-    );
-    // Chaining must actually be off when disabled, and the oracle must
-    // never have dispatched blocks.
-    let off = unchained.block_stats();
-    assert_eq!(
-        off.chain_hits + off.chain_misses,
-        0,
-        "chain engaged while off"
-    );
+    // The oracle must never have dispatched blocks.
     assert_eq!(oracle.block_stats().dispatches, 0);
 }
 
@@ -182,7 +164,7 @@ proptest! {
     }
 
     #[test]
-    fn tampering_bails_identically_with_chains(
+    fn tampering_bails_identically_in_hot_loops(
         p in arb_program(),
         word_idx in any::<prop::sample::Index>(),
         bit in 0u8..32,
@@ -203,7 +185,7 @@ proptest! {
     }
 
     #[test]
-    fn bus_taps_bail_identically_with_chains(
+    fn bus_taps_bail_identically_in_hot_loops(
         p in arb_program(),
         word_idx in any::<prop::sample::Index>(),
         bit in 0u8..32,
@@ -223,7 +205,7 @@ proptest! {
     }
 
     #[test]
-    fn mid_block_budget_interrupts_identically_with_chains(
+    fn mid_block_budget_interrupts_identically_in_hot_loops(
         p in arb_program(),
         max_cycles in 1u64..500,
     ) {
@@ -233,91 +215,4 @@ proptest! {
         let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
         assert_equivalent(&prog.image, &config, max_cycles, |_| {});
     }
-}
-
-const SUM_LOOP: &str = "
-    .text
-main:
-    li   $t0, 50
-    li   $t1, 0
-loop:
-    addu $t1, $t1, $t0
-    addiu $t0, $t0, -1
-    bnez $t0, loop
-    move $a0, $t1
-    li   $v0, 10
-    syscall
-";
-
-#[test]
-fn hot_loops_chain_block_to_block() {
-    let prog = assemble(SUM_LOOP).unwrap();
-    let mut cpu = Processor::new(
-        &prog.image,
-        ProcessorConfig {
-            block_exec: BlockExec::On,
-            block_chain: true,
-            ..ProcessorConfig::baseline()
-        },
-    );
-    assert_eq!(cpu.run(), RunOutcome::Exited { code: 1275 });
-    let stats = cpu.block_stats();
-    // 1 entry dispatch + 49 chained loop re-entries + the exit block:
-    // after the first taken back edge records the edge, every further
-    // loop iteration enters through it.
-    assert!(stats.dispatches > 10, "{stats:?}");
-    assert!(
-        stats.chain_hits >= stats.dispatches - 4,
-        "hot loop must chain nearly every dispatch: {stats:?}"
-    );
-    assert_eq!(stats.bailouts, 0);
-}
-
-#[test]
-fn chain_stats_stay_zero_when_disabled() {
-    let prog = assemble(SUM_LOOP).unwrap();
-    let mut cpu = Processor::new(
-        &prog.image,
-        ProcessorConfig {
-            block_exec: BlockExec::On,
-            block_chain: false,
-            ..ProcessorConfig::baseline()
-        },
-    );
-    assert_eq!(cpu.run(), RunOutcome::Exited { code: 1275 });
-    let stats = cpu.block_stats();
-    assert_eq!(stats.chain_hits, 0, "{stats:?}");
-    assert_eq!(stats.chain_misses, 0, "{stats:?}");
-    assert!(stats.dispatches > 10);
-}
-
-#[test]
-fn tamper_bailout_invalidates_the_blocks_chain_edges() {
-    // Tamper the loop body after construction: the first dispatch of
-    // the tampered block bails out, drops its cached edges, and the
-    // detection still fires at the block end — while the run's stats
-    // stay identical to the unchained processor's.
-    let prog = assemble(SUM_LOOP).unwrap();
-    let fht = trace_fht(&prog.image);
-    let run = |chain: bool| {
-        let mut cpu = Processor::new(
-            &prog.image,
-            ProcessorConfig {
-                block_exec: BlockExec::On,
-                block_chain: chain,
-                ..ProcessorConfig::monitored(CicConfig::with_entries(8), fht.clone())
-            },
-        );
-        let victim = prog.image.entry + 8;
-        let old = cpu.mem().read_u32(victim).unwrap();
-        cpu.mem_mut().write_u32(victim, old ^ (1 << 20)).unwrap();
-        let out = cpu.run();
-        (out, cpu.stats(), cpu.block_stats())
-    };
-    let (out_on, stats_on, block_on) = run(true);
-    let (out_off, stats_off, _) = run(false);
-    assert!(matches!(out_on, RunOutcome::Detected { .. }));
-    assert_eq!(out_on, out_off);
-    assert_eq!(stats_on, stats_off);
-    assert!(block_on.bailouts > 0, "{block_on:?}");
 }

@@ -7,6 +7,12 @@
 //! (`NullMonitor`) and CIC-monitored processors, under block dispatch
 //! and per-instruction stepping, and in post-tamper states where the
 //! cut lands between a bail-out and the detection that follows it.
+//!
+//! The byte form is held to the same standard: `to_bytes` →
+//! `from_bytes` → `to_bytes` reproduces the bytes exactly, and
+//! `from_bytes` over truncated, damaged or arbitrary bytes returns a
+//! typed error (or a snapshot whose integrity checksum still holds) —
+//! it never panics.
 
 use proptest::prelude::*;
 
@@ -14,7 +20,7 @@ use cimon_asm::assemble;
 use cimon_core::hash::hash_words;
 use cimon_core::{BlockRecord, CicConfig, HashAlgoKind};
 use cimon_os::FullHashTable;
-use cimon_pipeline::{BlockExec, Processor, ProcessorConfig};
+use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, ProcessorSnapshot};
 
 /// A generated random program: counted backward loops, ALU/memory
 /// traffic, and a clean exit (same shape as `chain_mask_diff.rs`).
@@ -207,6 +213,67 @@ proptest! {
             clone.restore(&intact).expect("intact snapshot restores");
             prop_assert_eq!(clone.instret(), donor.instret());
         }
+    }
+
+    #[test]
+    fn snapshot_bytes_round_trip_byte_for_byte(
+        p in arb_program(),
+        cut in 1u64..400,
+    ) {
+        let prog = assemble(&p.source).expect("generated program assembles");
+        let fht = trace_fht(&prog.image);
+        for config in variants(fht) {
+            let mut donor = Processor::new(&prog.image, config.clone());
+            if donor.run_to_instret(cut).is_some() {
+                continue;
+            }
+            let snap = donor.snapshot();
+            let bytes = snap.to_bytes();
+            let decoded = ProcessorSnapshot::from_bytes(&bytes).expect("intact bytes decode");
+            prop_assert_eq!(decoded.to_bytes(), bytes);
+            prop_assert_eq!(decoded.checksum(), snap.checksum());
+            // The decoded snapshot resumes exactly like the original.
+            let mut clone = Processor::new(&prog.image, config.clone());
+            clone.restore(&decoded).expect("decoded snapshot restores");
+            prop_assert_eq!(clone.run(), donor.run());
+            prop_assert_eq!(clone.stats(), donor.stats());
+            prop_assert_eq!(clone.block_stats(), donor.block_stats());
+        }
+    }
+
+    #[test]
+    fn snapshot_decode_of_damaged_bytes_is_typed(
+        p in arb_program(),
+        cut in 1u64..400,
+        at in any::<prop::sample::Index>(),
+        noise in prop::collection::vec(any::<u8>(), 1..64),
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let prog = assemble(&p.source).expect("generated program assembles");
+        let mut cpu = Processor::new(&prog.image, ProcessorConfig::baseline());
+        let _ = cpu.run_to_instret(cut);
+        let bytes = cpu.snapshot().to_bytes();
+        let i = at.index(bytes.len());
+        // Every proper prefix is truncated.
+        prop_assert!(ProcessorSnapshot::from_bytes(&bytes[..i]).is_err());
+        // Overwriting a window, or appending garbage, may only ever
+        // yield a typed error or an architecturally consistent decode.
+        let mut window = bytes.clone();
+        for (k, b) in noise.iter().enumerate() {
+            if let Some(slot) = window.get_mut(i + k) {
+                *slot = *b;
+            }
+        }
+        let mut cut_tail = bytes[..i].to_vec();
+        cut_tail.extend_from_slice(&junk);
+        let mut appended = bytes.clone();
+        appended.extend_from_slice(&noise);
+        for candidate in [&window, &cut_tail, &junk, &appended] {
+            if let Ok(s) = ProcessorSnapshot::from_bytes(candidate) {
+                prop_assert_eq!(s.compute_checksum(), s.checksum());
+            }
+        }
+        prop_assert!(ProcessorSnapshot::from_bytes(&appended).is_err());
     }
 
     #[test]

@@ -16,15 +16,7 @@
 
 use std::time::Duration;
 
-/// SplitMix64 — same generator the chaos harness uses, kept local so
-/// the backoff schedule never couples to chaos-site draws.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use cimon_core::splitmix64;
 
 /// The jittered delay before retry `attempt` (0-based): a seeded draw
 /// from `[envelope/2, envelope]` where `envelope = base << attempt`

@@ -34,21 +34,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use cimon_bench::json::{self, FlatObject};
+use cimon_core::hash::crc32;
 use cimon_sim::chaos;
-
-/// CRC-32 (IEEE, bitwise) over a byte string — the same polynomial the
-/// monitored pipeline's CRC hash unit implements.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Fsync the parent directory of `path`, making a just-created (or
 /// just-renamed-over) directory entry itself durable.
@@ -402,8 +389,20 @@ mod tests {
 
     #[test]
     fn crc_is_the_ieee_polynomial() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // One fixed record, pinned byte for byte: its CRC is zlib's
+        // IEEE CRC-32 of the checked payload, exactly what journals
+        // already on disk carry, so they keep replaying.
+        let record = Record {
+            key: 42,
+            tag: "row".into(),
+            extra: String::new(),
+            body: "{\"workload\":\"sha\",\"cycles\":\"1234\"}".into(),
+        };
+        let line = "{\"crc\":\"7dac0a2a\",\"key\":\"000000000000002a\",\"tag\":\"row\",\
+                    \"extra\":\"\",\"body\":\"{\\\"workload\\\":\\\"sha\\\",\
+                    \\\"cycles\\\":\\\"1234\\\"}\"}\n";
+        assert_eq!(record.to_line(), line);
+        assert_eq!(Record::parse(line.trim_end()), Ok(record));
     }
 
     #[test]

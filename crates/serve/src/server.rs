@@ -20,10 +20,11 @@ use std::time::{Duration, Instant};
 
 use cimon_bench::json::FlatObject;
 use cimon_bench::report;
+use cimon_core::hash::crc32_continue;
 use cimon_core::{CicConfig, HashAlgoKind, SimError};
 use cimon_faults::{Campaign, CampaignConfig, CampaignResult};
 use cimon_sim::engine::{parallel_map_isolated, Artifact, Experiment, ResultRow};
-use cimon_sim::{chaos, ckpt, SimConfig};
+use cimon_sim::{chaos, SimConfig};
 
 use crate::backoff;
 use crate::journal::{Journal, Record};
@@ -209,7 +210,7 @@ struct Job {
 /// journaled row carries the chain value *through itself*, so replay
 /// can accept exactly the longest contiguous-from-zero prefix whose
 /// chain verifies — a surviving record whose predecessor was lost to
-/// bit rot cannot be spliced into the wrong position.
+/// bit rot cannot be accepted at the wrong position.
 #[derive(Clone)]
 struct SweepProgress {
     /// Journaled row bodies, indexed by row position.
@@ -343,7 +344,7 @@ impl Inner {
         for (&key, progress) in lock(&self.sweeps).iter() {
             let mut chain = CHAIN_SEED;
             for (i, body) in progress.bodies.iter().enumerate() {
-                chain = ckpt::crc32_continue(chain, body.as_bytes());
+                chain = crc32_continue(chain, body.as_bytes());
                 live.push(Record {
                     key,
                     tag: "sweep-row".to_string(),
@@ -636,7 +637,7 @@ impl Inner {
                     let row = parse_row(&body)?;
                     let mut sweeps = lock(&self.sweeps);
                     let progress = sweeps.entry(key).or_default();
-                    let chain = ckpt::crc32_continue(progress.chain, body.as_bytes());
+                    let chain = crc32_continue(progress.chain, body.as_bytes());
                     progress.bodies.push(body.clone());
                     progress.chain = chain;
                     drop(sweeps);
@@ -892,7 +893,7 @@ impl Server {
                     "sweep-row" => {
                         if let Some((idx, stored)) = parse_chain_extra(&r.extra) {
                             let progress = sweeps.entry(r.key).or_default();
-                            let chain = ckpt::crc32_continue(progress.chain, r.body.as_bytes());
+                            let chain = crc32_continue(progress.chain, r.body.as_bytes());
                             if idx == progress.bodies.len() as u64 && stored == chain {
                                 progress.bodies.push(r.body);
                                 progress.chain = chain;

@@ -47,17 +47,11 @@ use cimon_pipeline::{
 };
 
 pub mod chaos;
-pub mod ckpt;
 pub mod engine;
-pub mod splice;
 
 pub use cimon_core::{HashAlgoKind, SimError};
 pub use cimon_pipeline::RunOutcome as Outcome;
 pub use engine::{Artifact, Experiment, ResultRow, RowStatus, Sweep};
-pub use splice::{
-    run_baseline_spliced, run_monitored_spliced, run_monitored_spliced_stats, run_spliced,
-    SpillMode, SpliceConfig, SpliceReport, SpliceRung, SpliceStats,
-};
 
 /// Experiment-level configuration (the knobs the paper sweeps).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

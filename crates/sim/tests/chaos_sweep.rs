@@ -2,20 +2,18 @@
 //! cimon-sim --test chaos_sweep`).
 //!
 //! With chaos enabled, the engine layers inject their own faults —
-//! worker panics in the sweep pool, shard delays and snapshot bit-flips
-//! in the splice replay — and these tests prove the degradation story
-//! end to end: every injected failure stays localized to its own row or
-//! rung, and every row or report *not* hit by an injection is
-//! byte-identical to a clean run. Without `CIMON_CHAOS` the same tests
+//! worker panics in the sweep pool, bit-flips in serve journal records
+//! — and these tests prove the degradation story end to end: every
+//! injected failure stays localized to its own row, and every row *not*
+//! hit by an injection is byte-identical to a clean run. Without `CIMON_CHAOS` the same tests
 //! assert the all-clean behaviour, so the suite is green in both CI
 //! modes.
 
 use cimon_asm::assemble;
-use cimon_core::{CicConfig, SimError};
-use cimon_hashgen::static_fht;
-use cimon_pipeline::{Processor, ProcessorConfig, RunOutcome};
+use cimon_core::SimError;
+use cimon_pipeline::RunOutcome;
 use cimon_sim::engine::{Artifact, RowStatus, Sweep};
-use cimon_sim::{chaos, run_spliced, HashAlgoKind, SimConfig, SpillMode, SpliceConfig, SpliceRung};
+use cimon_sim::{chaos, HashAlgoKind, SimConfig};
 
 const PROGRAM: &str = "
     .text
@@ -188,74 +186,6 @@ fn serve_layer_injections_are_localized_and_reversible() {
             assert_eq!(xor.count_ones(), 1, "exactly one bit differs");
         } else {
             assert!(diff.is_empty());
-        }
-    }
-}
-
-#[test]
-fn splice_degrades_but_never_diverges_under_chaos() {
-    let prog = assemble(PROGRAM).expect("program assembles");
-    let (fht, _) = static_fht(&prog.image, &[], HashAlgoKind::Xor, 0).expect("static analysis");
-    let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
-    let max_cycles = 1_000_000;
-
-    let mut serial = Processor::new(&prog.image, config.clone());
-    serial.set_max_cycles(max_cycles);
-    let serial_outcome = serial.run();
-    let serial_stats = serial.stats();
-
-    // A small interval forces many shards, so chaos gets many chances
-    // to delay a shard, corrupt its snapshot, or — in disk mode —
-    // flip and tear the spilled segment frames.
-    for spill in [SpillMode::Ram, SpillMode::Disk] {
-        let splice = SpliceConfig {
-            interval_cycles: 40,
-            workers: 4,
-            spill,
-        };
-        let report = run_spliced(
-            &|| Processor::new(&prog.image, config.clone()),
-            None,
-            max_cycles,
-            &splice,
-        );
-
-        // Whatever rung ran, the result is the serial result.
-        assert_eq!(report.outcome, serial_outcome, "{spill:?}");
-        assert_eq!(report.stats, serial_stats, "{spill:?}");
-        assert_eq!(report.serial_fallback, report.splice.rung.is_serial());
-        match report.splice.rung {
-            SpliceRung::Spliced => {
-                assert_eq!(report.splice.corrupt_snapshots, 0);
-                assert_eq!(report.splice.shard_panics, 0);
-            }
-            SpliceRung::SplicedSpillRecompute => {
-                // Quarantined segment frames degraded those spans to
-                // recompute-from-previous, but the run stayed parallel.
-                assert!(chaos::enabled(), "quarantine only comes from chaos here");
-                assert_eq!(spill, SpillMode::Disk);
-                assert!(report.splice.quarantined_frames > 0);
-            }
-            SpliceRung::SerialSnapshotCorrupt => {
-                assert!(
-                    chaos::enabled(),
-                    "corrupt snapshots only come from chaos here"
-                );
-                assert!(report.splice.corrupt_snapshots > 0);
-            }
-            SpliceRung::SerialWorkerPanic => {
-                assert!(report.splice.shard_panics > 0);
-            }
-            SpliceRung::SerialSpillIo => {
-                assert_eq!(spill, SpillMode::Disk);
-                assert!(report.splice.spill_io > 0);
-            }
-            SpliceRung::SerialTimingDependent => {
-                panic!("this program reads no cycle counters");
-            }
-        }
-        if !chaos::enabled() {
-            assert_eq!(report.splice.rung, SpliceRung::Spliced);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! # Synthetic large-program corpus
 //!
 //! The MiBench-like registry finishes in milliseconds — far too small
-//! to exercise long-run machinery (splice checkpoints, chain caches,
-//! campaign checkpoint-restart) at realistic scale. This module
-//! promotes the differential-test program generator into a first-class,
-//! seeded corpus: loopy control-flow graphs with nested counted loops,
-//! direct calls (`jal`/`jr`), **indirect calls** through
+//! to exercise long-run machinery (the block-dispatch loop, text-write
+//! invalidation, campaign checkpoint-restart) at realistic scale. This
+//! module promotes the differential-test program generator into a
+//! first-class, seeded corpus: loopy control-flow graphs with nested
+//! counted loops, direct calls (`jal`/`jr`), **indirect calls** through
 //! register-computed targets (`la`+`jalr`), and **self-modifying
 //! stores** that write instruction words back to the text segment
 //! (byte-identical rewrites, so monitored runs stay clean while every
@@ -13,11 +13,14 @@
 //! up to millions of instructions via
 //! [`CorpusSpec::target_dynamic_instructions`].
 //!
-//! Programs never read the cycle counter (syscall 30), so they are
-//! always spliceable; their exit codes are data-dependent and are
-//! *not* pre-computed — harnesses use a serial run as the oracle.
+//! Programs never read the cycle counter (syscall 30), so their
+//! architectural results do not depend on the timing model; their exit
+//! codes are data-dependent and are *not* pre-computed — harnesses use
+//! a reference run as the oracle.
 
 use std::fmt::Write as _;
+
+use cimon_core::SplitMix64;
 
 /// What to generate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,16 +63,13 @@ impl CorpusProgram {
     }
 }
 
-/// SplitMix64 — a tiny, high-quality seeded stream for the generator.
-struct Stream(u64);
+/// The generator's seeded stream: the low 32 bits of each SplitMix64
+/// output.
+struct Stream(SplitMix64);
 
 impl Stream {
     fn next(&mut self) -> u32 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        (z ^ (z >> 31)) as u32
+        self.0.next_u64() as u32
     }
 
     fn below(&mut self, n: u32) -> u32 {
@@ -124,7 +124,7 @@ fn emit_body_op(src: &mut String, rng: &mut Stream) {
 
 /// Generate one corpus program from a spec.
 pub fn generate(spec: &CorpusSpec) -> CorpusProgram {
-    let mut rng = Stream(spec.seed);
+    let mut rng = Stream(SplitMix64(spec.seed));
     let mut src = String::from("    .data\nbuf: .word ");
     for i in 0..64 {
         let sep = if i == 0 { "" } else { ", " };
@@ -192,7 +192,8 @@ pub fn generate(spec: &CorpusSpec) -> CorpusProgram {
             // out of the text segment and write it straight back. The
             // bytes do not change, so monitored runs stay clean, but
             // the store lands in text and drives every invalidation
-            // path (validated-hash bitmap, predecoded image, chains).
+            // path (validated-hash bitmap, predecoded image, block
+            // validation epochs).
             _ => {
                 let site = selfmod_sites;
                 selfmod_sites += 1;
@@ -247,8 +248,6 @@ pub fn medium(seed: u64) -> CorpusProgram {
     })
 }
 
-/// A large program (~1M dynamic instructions) — the splice-scaling
-/// subject.
 pub fn large(seed: u64) -> CorpusProgram {
     generate(&CorpusSpec {
         seed,
@@ -297,7 +296,7 @@ mod tests {
             let p = medium(seed);
             assert!(
                 !p.source.contains("li $v0, 30"),
-                "corpus must stay spliceable"
+                "corpus must stay timing-independent"
             );
         }
     }
