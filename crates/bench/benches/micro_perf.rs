@@ -1,13 +1,14 @@
 //! Criterion micro-benchmarks of the monitor's hardware-model hot
 //! paths: HASHFU throughput per algorithm (word-at-a-time and
-//! batched), FHT generation, IHT lookup latency across table sizes,
-//! the scheduler's slice vs mask vs fused-block issue paths, and
-//! end-to-end simulator speed.
+//! batched), FHT generation, IHT lookup latency across table sizes
+//! (plain and way-hinted), one block-end check hashed vs memoised, the
+//! scheduler's slice vs mask vs fused-block issue paths, and end-to-end
+//! simulator speed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cimon_core::hash::{hash_block, hasher_for};
-use cimon_core::{BlockKey, BlockRecord, CicConfig, HashAlgoKind, Iht};
+use cimon_core::{BlockKey, BlockMemo, BlockRecord, Cic, CicConfig, HashAlgoKind, Iht};
 use cimon_pipeline::predecode::PredecodedImage;
 use cimon_pipeline::{BlockPlan, Processor, ProcessorConfig, Timing, TimingConfig};
 use cimon_sim::SimConfig;
@@ -159,31 +160,122 @@ fn bench_timing_issue(c: &mut Criterion) {
     group.finish();
 }
 
+/// A full table of `entries` distinct keys, and the keys.
+fn full_iht(entries: usize) -> (Iht, Vec<BlockKey>) {
+    let mut iht = Iht::new(entries);
+    let keys: Vec<BlockKey> = (0..entries as u32)
+        .map(|i| BlockKey::new(0x1000 + i * 0x40, 0x1010 + i * 0x40))
+        .collect();
+    for (i, &key) in keys.iter().enumerate() {
+        iht.insert_lru(BlockRecord {
+            key,
+            hash: i as u32,
+        });
+    }
+    (iht, keys)
+}
+
+/// Lookups (or checks) per timed iteration in the per-lookup groups:
+/// enough that the shim's fixed iteration count times a steady state
+/// rather than the first pass over the keys. Read the `Melem/s` column
+/// as lookups per microsecond.
+const LOOKUPS_PER_ITER: usize = 1024;
+
 fn bench_iht_lookup(c: &mut Criterion) {
+    // Keys round-robin, so past one entry the MRU probe always misses
+    // and the plain lookup scans; the hinted lookup keeps one way hint
+    // per key, as each block slot's memo does.
     let mut group = c.benchmark_group("iht_lookup");
-    for entries in [1usize, 8, 16, 32, 128] {
+    group.throughput(Throughput::Elements(LOOKUPS_PER_ITER as u64));
+    for entries in [1usize, 8, 16, 32, 128, 256] {
         group.bench_with_input(
             BenchmarkId::from_parameter(entries),
             &entries,
             |b, &entries| {
-                let mut iht = Iht::new(entries);
-                for i in 0..entries as u32 {
-                    iht.insert_lru(BlockRecord {
-                        key: BlockKey::new(0x1000 + i * 0x40, 0x1010 + i * 0x40),
-                        hash: i,
-                    });
-                }
-                let keys: Vec<BlockKey> = (0..entries as u32)
-                    .map(|i| BlockKey::new(0x1000 + i * 0x40, 0x1010 + i * 0x40))
-                    .collect();
-                let mut i = 0usize;
+                let (mut iht, keys) = full_iht(entries);
                 b.iter(|| {
-                    let k = keys[i % keys.len()];
-                    i += 1;
-                    std::hint::black_box(iht.lookup(k, (i % keys.len()) as u32))
+                    for i in 0..LOOKUPS_PER_ITER {
+                        let at = i % entries;
+                        std::hint::black_box(iht.lookup(keys[at], at as u32));
+                    }
                 });
             },
         );
+    }
+    for entries in [8usize, 32, 256] {
+        group.bench_with_input(
+            BenchmarkId::new("hinted", entries),
+            &entries,
+            |b, &entries| {
+                let (mut iht, keys) = full_iht(entries);
+                let mut hints = vec![0usize; entries];
+                b.iter(|| {
+                    for i in 0..LOOKUPS_PER_ITER {
+                        let at = i % entries;
+                        std::hint::black_box(iht.lookup_from(keys[at], at as u32, &mut hints[at]));
+                    }
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_cic_check(c: &mut Criterion) {
+    // One block-end check of a 6-word block (about the mean dispatch),
+    // as the planned block path pays it: hash the words, look the
+    // digest up and reset — against the memoised check, which replays
+    // the digest and probes the block's way hint.
+    let words: [u32; 6] = [
+        0x0109_5020,
+        0x2508_0001,
+        0x8d09_0004,
+        0x0128_4821,
+        0x2129_ffff,
+        0x1500_fffa,
+    ];
+    let key = BlockKey::new(0x40_0000, 0x40_0014);
+    let mut group = c.benchmark_group("cic_check");
+    group.throughput(Throughput::Elements(LOOKUPS_PER_ITER as u64));
+    for kind in HashAlgoKind::ALL {
+        let cic = || {
+            let mut cic = Cic::new(CicConfig {
+                iht_entries: 8,
+                hash_algo: kind,
+                hash_seed: 0x5eed,
+            });
+            for i in 0..7u32 {
+                cic.iht_mut().insert_lru(BlockRecord {
+                    key: BlockKey::new(0x1000 + i * 0x40, 0x1010 + i * 0x40),
+                    hash: i,
+                });
+            }
+            cic.iht_mut().insert_lru(BlockRecord {
+                key,
+                hash: hash_block(kind, 0x5eed, &words),
+            });
+            cic
+        };
+        group.bench_function(BenchmarkId::new("hash+lookup", kind.name()), |b| {
+            let mut cic = cic();
+            b.iter(|| {
+                for _ in 0..LOOKUPS_PER_ITER {
+                    let digest = cic.hash_block_step(std::hint::black_box(&words));
+                    std::hint::black_box(cic.check_block(key, digest));
+                    cic.hash_reset();
+                }
+            });
+        });
+        group.bench_function(BenchmarkId::new("memo", kind.name()), |b| {
+            let mut cic = cic();
+            let mut memo = BlockMemo::default();
+            b.iter(|| {
+                for _ in 0..LOOKUPS_PER_ITER {
+                    let words = std::hint::black_box(&words);
+                    std::hint::black_box(cic.check_block_memo(words, key, &mut memo));
+                }
+            });
+        });
     }
     group.finish();
 }
@@ -218,6 +310,7 @@ criterion_group!(
     benches,
     bench_hash_units,
     bench_hash_batched,
+    bench_cic_check,
     bench_fht_generation,
     bench_timing_issue,
     bench_iht_lookup,

@@ -1,6 +1,6 @@
 //! Simulator-throughput benchmark: wall-clock speed of the cycle loop
 //! across the workload registry, baseline and monitored (CIC8), each
-//! with block dispatch on (the default) and off — so the superblock
+//! with block dispatch on (the default) and off — so the block-dispatch
 //! speedup is visible row by row.
 //!
 //! This is the repo's own performance trajectory — the metric is
@@ -8,10 +8,16 @@
 //! sweep, fault campaign, and example can run. The raw rows are written
 //! to `BENCH_throughput.json` via [`cimon_bench::report`] so CI can
 //! track the trend (and gate on it via the `throughput_gate` target).
+//! Every row also records the calibration kernel's time
+//! ([`cimon_bench::calib_ns`]) in this process: the machine speed the
+//! gate divides out.
 
 fn main() {
-    let reps = 3;
-    println!("Simulator throughput — instructions/second of the cycle loop ({reps} reps, best)");
+    let reps = 5;
+    println!(
+        "Simulator throughput — instructions/second of the cycle loop \
+         (best of {reps} passes over the rows)"
+    );
     println!(
         "{:<14} {:>15} {:>12} {:>11} {:>8} {:>7} {:>7}",
         "workload", "mode", "instructions", "seconds", "MIPS", "blk-avg", "blk-max"
@@ -38,6 +44,7 @@ fn main() {
         t.baseline_mips / t.baseline_instr_mips.max(1e-9),
         t.monitored_mips / t.monitored_instr_mips.max(1e-9),
     );
+    println!("calibration kernel: {:.0} ns", t.calib_ns);
     let json = cimon_bench::report::throughput_to_json(&t.rows);
     match std::fs::write("BENCH_throughput.json", &json) {
         Ok(()) => println!("\nwrote BENCH_throughput.json ({} rows)", t.rows.len()),

@@ -5,9 +5,12 @@
 //!
 //! A row fails when its MIPS fell below `(1 − tolerance) ×` the
 //! reference (default tolerance 25%; override with the
-//! `CIMON_THROUGHPUT_TOLERANCE` environment variable, e.g. `0.4`).
-//! Speedups and new rows never fail. Exit status is non-zero on any
-//! violation, so the CI bench job gates on it directly.
+//! `CIMON_THROUGHPUT_TOLERANCE` environment variable, e.g. `0.4`),
+//! after dividing out how much slower this machine ran the calibration
+//! kernel than the reference machine did (capped at 1: a faster
+//! machine is compared absolutely). Speedups and new rows never fail.
+//! Exit status is non-zero on any violation, so the CI bench job gates
+//! on it directly.
 
 use std::process::ExitCode;
 

@@ -514,6 +514,38 @@ pub struct ThroughputRow {
     pub block_mean: f64,
     /// Largest dispatched block in instructions (0 for `-instr` modes).
     pub block_max: u64,
+    /// [`calib_ns`] of the process that measured the row (0 when
+    /// unknown): the machine speed the gate normalises by.
+    pub calib_ns: f64,
+}
+
+/// Iterations of the calibration loop.
+const CALIB_ITERS: u32 = 1 << 20;
+
+/// Time a fixed, std-only integer loop (xorshift plus multiply) that
+/// shares no code with the simulator, in ns for the whole loop: the
+/// median of five timings. Its ratio between two machines (or two
+/// moments on one) is the machine-speed scale [`throughput_gate`]
+/// divides out, so a simulator slowdown cannot hide behind it.
+pub fn calib_ns() -> f64 {
+    use std::hint::black_box;
+    use std::time::Instant;
+    let mut times: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let mut x = black_box(0x9e37_79b9_7f4a_7c15_u64);
+            for _ in 0..black_box(CALIB_ITERS) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x = x.wrapping_mul(0x2545_f491_4f6c_dd1d);
+            }
+            black_box(x);
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[2]
 }
 
 /// The simulator-throughput sweep: wall-clock speed of the cycle loop
@@ -532,6 +564,10 @@ pub struct Throughput {
     pub baseline_instr_mips: f64,
     /// Aggregate monitored MIPS with per-instruction stepping.
     pub monitored_instr_mips: f64,
+    /// The calibration kernel's time ([`calib_ns`]) in this process:
+    /// the fastest of its timings before each pass and after the last,
+    /// as the rows keep their best pass.
+    pub calib_ns: f64,
 }
 
 /// Measure simulator throughput across the workload registry: each
@@ -541,70 +577,78 @@ pub struct Throughput {
 /// grouping are outside the timed region — this measures the cycle
 /// loop, nothing else). The mode pairs sit side by side in the rows so
 /// the block-dispatch speedup is visible in the artifact.
+///
+/// The repetitions are whole passes over every row, so one row's
+/// samples lie a pass apart and a burst of host noise reaches only some
+/// of them. The calibration kernel is timed before every pass and
+/// after the last, and its fastest time is recorded on every row.
 pub fn sim_throughput(reps: usize) -> Throughput {
     use cimon_pipeline::{BlockExec, Predecode, Processor, ProcessorConfig};
     use std::time::Instant;
 
-    let reps = reps.max(1);
-    let mut rows = Vec::with_capacity(suite().len() * 4);
-    for a in suite() {
-        let fht = a.fht(HashAlgoKind::Xor, 0).expect("analyses");
-        let predecoded = a.predecoded();
-        let blocks = a.block_cache();
-        for mode in ["baseline", "baseline-instr", "cic8", "cic8-instr"] {
-            let config = || {
-                let mut c = if mode.starts_with("baseline") {
-                    ProcessorConfig::baseline()
-                } else {
-                    ProcessorConfig::monitored(CicConfig::with_entries(8), fht.clone())
-                };
-                c.predecode = Predecode::Shared(predecoded.clone());
-                c.block_exec = if mode.ends_with("-instr") {
-                    BlockExec::Off
-                } else {
-                    BlockExec::Shared(blocks.clone())
-                };
-                c
-            };
-            let mut best = f64::INFINITY;
-            let mut instructions = 0;
-            let mut cycles = 0;
-            let mut block_mean = 0.0;
-            let mut block_max = 0;
-            for _ in 0..reps {
-                let mut cpu = Processor::new(a.image(), config());
-                let t0 = Instant::now();
-                let outcome = cpu.run();
-                let dt = t0.elapsed().as_secs_f64();
-                assert_eq!(
-                    outcome,
-                    cimon_pipeline::RunOutcome::Exited {
-                        code: a.expected_exit().expect("registry workload")
-                    },
-                    "{} {mode}",
-                    a.name()
-                );
-                let stats = cpu.stats();
-                instructions = stats.instructions;
-                cycles = stats.cycles;
-                let block = cpu.block_stats();
-                block_mean = block.mean_block();
-                block_max = block.max_block;
-                if dt < best {
-                    best = dt;
-                }
-            }
-            rows.push(ThroughputRow {
+    const MODES: [&str; 4] = ["baseline", "baseline-instr", "cic8", "cic8-instr"];
+    let config = |a: &Artifact, mode: &str| {
+        let mut c = if mode.starts_with("baseline") {
+            ProcessorConfig::baseline()
+        } else {
+            let fht = a.fht(HashAlgoKind::Xor, 0).expect("analyses");
+            ProcessorConfig::monitored(CicConfig::with_entries(8), fht)
+        };
+        c.predecode = Predecode::Shared(a.predecoded());
+        c.block_exec = if mode.ends_with("-instr") {
+            BlockExec::Off
+        } else {
+            BlockExec::Shared(a.block_cache())
+        };
+        c
+    };
+    let mut rows: Vec<ThroughputRow> = suite()
+        .iter()
+        .flat_map(|a| {
+            MODES.map(|mode| ThroughputRow {
                 workload: a.name().to_string(),
                 mode,
-                instructions,
-                cycles,
-                best_seconds: best,
-                mips: instructions as f64 / best / 1e6,
-                block_mean,
-                block_max,
-            });
+                instructions: 0,
+                cycles: 0,
+                best_seconds: f64::INFINITY,
+                mips: 0.0,
+                block_mean: 0.0,
+                block_max: 0,
+                calib_ns: 0.0,
+            })
+        })
+        .collect();
+    let mut calib = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        calib = calib.min(calib_ns());
+        for (i, row) in rows.iter_mut().enumerate() {
+            let a = &suite()[i / MODES.len()];
+            let mut cpu = Processor::new(a.image(), config(a, row.mode));
+            let t0 = Instant::now();
+            let outcome = cpu.run();
+            let dt = t0.elapsed().as_secs_f64();
+            assert_eq!(
+                outcome,
+                cimon_pipeline::RunOutcome::Exited {
+                    code: a.expected_exit().expect("registry workload")
+                },
+                "{} {}",
+                a.name(),
+                row.mode
+            );
+            let stats = cpu.stats();
+            let block = cpu.block_stats();
+            row.instructions = stats.instructions;
+            row.cycles = stats.cycles;
+            row.block_mean = block.mean_block();
+            row.block_max = block.max_block;
+            row.best_seconds = row.best_seconds.min(dt);
         }
+    }
+    let calib = calib.min(calib_ns());
+    for row in &mut rows {
+        row.mips = row.instructions as f64 / row.best_seconds / 1e6;
+        row.calib_ns = calib;
     }
     let agg = |mode: &str| {
         let (i, t) = rows
@@ -620,6 +664,7 @@ pub fn sim_throughput(reps: usize) -> Throughput {
         monitored_mips: agg("cic8"),
         baseline_instr_mips: agg("baseline-instr"),
         monitored_instr_mips: agg("cic8-instr"),
+        calib_ns: calib,
         rows,
     }
 }
@@ -648,11 +693,13 @@ pub struct GateReport {
     pub rows: Vec<GateRow>,
     /// The tolerance applied (fractional slowdown, e.g. 0.25).
     pub tolerance: f64,
-    /// The machine-speed scale the rows were normalised by: the median
-    /// `current / reference` ratio, capped at 1. On hardware comparable
-    /// to where the reference was measured this is ~1 (pure absolute
-    /// comparison); on a uniformly slower machine it rescales every
-    /// row, so only rows that regressed *relative to the rest* fail.
+    /// The machine-speed scale the rows were normalised by: the
+    /// calibration kernel's `reference / current` time ratio, capped
+    /// at 1 (1 when either side lacks a kernel time). On hardware as
+    /// fast as the reference machine the comparison is absolute; on a
+    /// slower machine every row is rescaled by how much slower the
+    /// kernel ran, which the simulator does not influence — so a
+    /// slowdown of the simulator itself fails even when it is uniform.
     pub machine_scale: f64,
     /// Rows that slowed down beyond the tolerance or vanished.
     pub violations: usize,
@@ -669,11 +716,11 @@ impl GateReport {
 /// Compare a current throughput measurement against the committed
 /// reference: every reference row must still exist and must not be
 /// slower than `(1 - tolerance) ×` its reference MIPS after dividing
-/// out the machine-speed scale (the median ratio, capped at 1 — so a
-/// uniformly slower CI machine does not trip every row, while a mode
-/// or workload that regressed relative to the others still fails, and
-/// on comparable hardware the comparison is absolute). Speedups and
-/// newly added rows never fail the gate; an empty reference fails it.
+/// out the machine-speed scale (the calibration kernel's time ratio,
+/// capped at 1 — so a slower CI machine does not trip every row, a
+/// faster one does not hide a regression, and a uniform slowdown of
+/// the simulator still fails). Speedups and newly added rows never
+/// fail the gate; an empty reference fails it.
 pub fn throughput_gate(
     reference: &[ThroughputRow],
     current: &[ThroughputRow],
@@ -684,16 +731,8 @@ pub fn throughput_gate(
             .iter()
             .find(|c| c.workload == r.workload && c.mode == r.mode)
     };
-    let mut ratios: Vec<f64> = reference
-        .iter()
-        .filter_map(|r| find(r).map(|c| if r.mips > 0.0 { c.mips / r.mips } else { 1.0 }))
-        .collect();
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    // A non-positive median means at least half the measurement is
-    // broken (0 MIPS rows): fall back to the absolute comparison so
-    // those rows fail instead of dividing the gate by zero.
-    let machine_scale = match ratios.get(ratios.len() / 2) {
-        Some(&m) if m > 0.0 => m.min(1.0),
+    let machine_scale = match (kernel_ns(reference), kernel_ns(current)) {
+        (Some(then), Some(now)) => (then / now).min(1.0),
         _ => 1.0,
     };
 
@@ -722,6 +761,18 @@ pub fn throughput_gate(
         machine_scale,
         violations,
     }
+}
+
+/// The median positive calibration-kernel time over `rows`, if any row
+/// carries one.
+fn kernel_ns(rows: &[ThroughputRow]) -> Option<f64> {
+    let mut times: Vec<f64> = rows
+        .iter()
+        .map(|r| r.calib_ns)
+        .filter(|&t| t > 0.0)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times.get(times.len() / 2).copied()
 }
 
 /// Markdown-ish fixed-width table printer shared by the bench targets.
@@ -774,7 +825,17 @@ mod tests {
             mips,
             block_mean: 0.0,
             block_max: 0,
+            calib_ns: 1000.0,
         }
+    }
+
+    /// `rows` as measured on a machine whose calibration kernel took
+    /// `calib_ns`.
+    fn on_machine(mut rows: Vec<ThroughputRow>, calib_ns: f64) -> Vec<ThroughputRow> {
+        for r in &mut rows {
+            r.calib_ns = calib_ns;
+        }
+        rows
     }
 
     #[test]
@@ -814,30 +875,49 @@ mod tests {
         assert_eq!(report.rows[2].current_mips, None);
     }
 
-    #[test]
-    fn gate_normalises_out_a_uniformly_slower_machine() {
-        // Everything at 50% of reference (a slower CI runner): median
-        // rescales, no violations. One row additionally 3x worse than
-        // the rest: still caught.
+    fn reference_and_halved() -> (Vec<ThroughputRow>, Vec<ThroughputRow>) {
         let reference = vec![
             gate_row("sha", "baseline", 60.0),
             gate_row("sha", "cic8", 40.0),
             gate_row("susan", "baseline", 30.0),
         ];
-        let uniform = vec![
+        let halved = vec![
             gate_row("sha", "baseline", 30.0),
             gate_row("sha", "cic8", 20.0),
             gate_row("susan", "baseline", 15.0),
         ];
-        let report = throughput_gate(&reference, &uniform, 0.25);
+        (reference, halved)
+    }
+
+    #[test]
+    fn gate_fails_a_uniform_halving_when_the_kernel_did_not_slow() {
+        // Every row at 50% of reference on a machine that runs the
+        // calibration kernel as fast as the reference machine did: the
+        // simulator itself got slower, and no row may hide that.
+        let (reference, halved) = reference_and_halved();
+        let report = throughput_gate(&reference, &halved, 0.25);
+        assert!(!report.passed(), "{report:?}");
+        assert_eq!(report.violations, 3);
+        assert_eq!(report.machine_scale, 1.0);
+        // A faster machine is no excuse either: the scale caps at 1.
+        let report = throughput_gate(&reference, &on_machine(halved, 400.0), 0.25);
+        assert_eq!(report.machine_scale, 1.0);
+        assert_eq!(report.violations, 3);
+    }
+
+    #[test]
+    fn gate_passes_a_uniform_halving_when_the_kernel_slowed_equally() {
+        // The kernel took twice as long too: a machine half as fast,
+        // normalised out. One row additionally 3x worse than the
+        // machine explains is still caught.
+        let (reference, halved) = reference_and_halved();
+        let slow_machine = on_machine(halved, 2000.0);
+        let report = throughput_gate(&reference, &slow_machine, 0.25);
         assert!(report.passed(), "{report:?}");
         assert!((report.machine_scale - 0.5).abs() < 1e-9);
 
-        let skewed = vec![
-            gate_row("sha", "baseline", 30.0),
-            gate_row("sha", "cic8", 20.0),
-            gate_row("susan", "baseline", 5.0), // 3x below the fleet
-        ];
+        let mut skewed = slow_machine;
+        skewed[2].mips = 5.0;
         let report = throughput_gate(&reference, &skewed, 0.25);
         assert!(!report.passed());
         assert!(report.rows[2].violation);

@@ -142,7 +142,7 @@ pub fn throughput_to_json(rows: &[crate::ThroughputRow]) -> String {
             out,
             "  {{\"workload\":\"{}\",\"mode\":\"{}\",\"instructions\":{},\
              \"cycles\":{},\"best_seconds\":{},\"mips\":{:.3},\
-             \"block_mean\":{:.3},\"block_max\":{}}}",
+             \"block_mean\":{:.3},\"block_max\":{},\"calib_ns\":{}}}",
             json::escape(&r.workload),
             r.mode,
             r.instructions,
@@ -151,6 +151,7 @@ pub fn throughput_to_json(rows: &[crate::ThroughputRow]) -> String {
             r.mips,
             r.block_mean,
             r.block_max,
+            r.calib_ns,
         );
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
@@ -211,6 +212,9 @@ pub fn throughput_from_json(json: &str) -> Result<Vec<crate::ThroughputRow>, Str
             // Rows written before the block-dispatch era lack these.
             block_mean: num_field(obj, "block_mean").unwrap_or(0.0),
             block_max: num_field(obj, "block_max").unwrap_or(0),
+            // Rows written before the calibrated gate lack the kernel
+            // time: 0 marks it unknown.
+            calib_ns: num_field(obj, "calib_ns").unwrap_or(0.0),
         });
     }
     Ok(rows)
@@ -587,6 +591,7 @@ mod tests {
             mips,
             block_mean: 4.25,
             block_max: 18,
+            calib_ns: 3_500_000.0,
         }
     }
 
@@ -605,6 +610,7 @@ mod tests {
         assert!((parsed[1].mips - 39.5).abs() < 1e-9);
         assert!((parsed[0].block_mean - 4.25).abs() < 1e-9);
         assert_eq!(parsed[0].block_max, 18);
+        assert_eq!(parsed[1].calib_ns, 3_500_000.0);
     }
 
     #[test]
@@ -616,6 +622,7 @@ mod tests {
         let parsed = throughput_from_json(legacy).unwrap();
         assert_eq!(parsed[0].block_max, 0);
         assert_eq!(parsed[0].block_mean, 0.0);
+        assert_eq!(parsed[0].calib_ns, 0.0);
         // Unknown modes and missing fields are hard errors.
         assert!(throughput_from_json("[{\"workload\":\"x\",\"mode\":\"warp\"}]").is_err());
         assert!(throughput_from_json("[{\"mode\":\"cic8\"}]").is_err());

@@ -71,6 +71,16 @@ impl CicStats {
     }
 }
 
+/// Memoised check state of one block, for [`Cic::check_block_memo`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlockMemo {
+    /// The block's digest hashed from reset, once computed.
+    pub digest: Option<u32>,
+    /// The IHT way the block's key last matched in: a search-order
+    /// hint, checked by a key compare before it is trusted.
+    pub way: usize,
+}
+
 /// The Code Integrity Checker unit.
 ///
 /// The hash unit is the enum-dispatch [`HashAlgo`]: `hash_step` runs
@@ -157,16 +167,16 @@ impl Cic {
         probe.digest()
     }
 
-    /// Account `n` words as hashed without touching the digest — the
-    /// fast-pass path that replays a memoized per-block digest must
-    /// keep [`CicStats::words_hashed`] exactly what per-word hashing
-    /// would have left.
+    /// Account `n` words as hashed without touching the digest: a check
+    /// that replays a memoised block digest
+    /// ([`Cic::check_block_memo`]) must leave
+    /// [`CicStats::words_hashed`] exactly where per-word hashing would.
     pub fn note_words_hashed(&mut self, n: u64) {
         self.stats.words_hashed += n;
     }
 
     /// Whether the hash unit currently sits in its reset state — the
-    /// precondition for replaying a memoized whole-block digest.
+    /// precondition for replaying a memoised whole-block digest.
     pub fn hasher_is_reset(&self) -> bool {
         let mut probe = HashAlgo::new(self.config.hash_algo, self.config.hash_seed);
         probe.reset();
@@ -176,8 +186,50 @@ impl Cic {
     /// The ID-stage block-end check:
     /// `<found,match> = IHTbb.lookup(<start,end,hashv>)`.
     pub fn check_block(&mut self, key: BlockKey, hash: u32) -> (bool, bool) {
+        let outcome = self.iht.lookup(key, hash);
+        self.tally(outcome)
+    }
+
+    /// One whole block checked from the reset state: hash `words`,
+    /// check the digest for `key`, leave the hash unit reset — returning
+    /// `(digest, found, match)` exactly as [`Cic::hash_block_step`],
+    /// [`Cic::check_block`] and [`Cic::hash_reset`] in sequence would.
+    ///
+    /// The digest of a block hashed from reset is a pure function of
+    /// its words and this checker's algorithm and seed, so `memo`
+    /// carries it from the first call to every later one (which only
+    /// account the words as hashed), and the IHT way the key last
+    /// matched in, probed first ([`Iht::lookup_from`]). The caller owns
+    /// the rest of the contract: `memo` belongs to one block whose
+    /// `words` never change, and the hash unit is at reset on entry.
+    pub fn check_block_memo(
+        &mut self,
+        words: &[u32],
+        key: BlockKey,
+        memo: &mut BlockMemo,
+    ) -> (u32, bool, bool) {
+        debug_assert!(self.hasher_is_reset(), "memoised check from mid-block");
+        let digest = match memo.digest {
+            Some(digest) => {
+                self.note_words_hashed(words.len() as u64);
+                digest
+            }
+            None => {
+                let digest = self.hash_block_step(words);
+                self.hasher.reset();
+                memo.digest = Some(digest);
+                digest
+            }
+        };
+        let outcome = self.iht.lookup_from(key, digest, &mut memo.way);
+        let (found, matched) = self.tally(outcome);
+        (digest, found, matched)
+    }
+
+    /// Fold one lookup outcome into the check counters.
+    fn tally(&mut self, outcome: LookupOutcome) -> (bool, bool) {
         self.stats.checks += 1;
-        match self.iht.lookup(key, hash) {
+        match outcome {
             LookupOutcome::Hit => {
                 self.stats.hits += 1;
                 (true, true)
@@ -383,6 +435,60 @@ mod tests {
             cic.check_block(key(0x1000, 2), 0xaa)
         );
         assert!(Cic::decode_from(&mut Dec::new(&bytes[..bytes.len() - 3])).is_err());
+    }
+
+    #[test]
+    fn memoised_check_matches_hash_check_reset() {
+        for algo in HashAlgoKind::ALL {
+            let cfg = CicConfig {
+                iht_entries: 4,
+                hash_algo: algo,
+                hash_seed: 0x5eed_cafe,
+            };
+            let words = [0x0109_5020u32, 0x2508_0001, 0x1500_fffe];
+            let k = key(0x40_0000, 3);
+            let mut plain = Cic::new(cfg);
+            let mut memoised = Cic::new(cfg);
+            for cic in [&mut plain, &mut memoised] {
+                cic.iht_mut().replace_at(
+                    2,
+                    BlockRecord {
+                        key: k,
+                        hash: hash_words(algo, 0x5eed_cafe, words),
+                    },
+                );
+                cic.iht_mut().replace_at(
+                    0,
+                    BlockRecord {
+                        key: key(0x1000, 1),
+                        hash: 0,
+                    },
+                );
+            }
+            let mut memo = BlockMemo::default();
+            for round in 0..3 {
+                let digest = plain.hash_block_step(&words);
+                let (found, matched) = plain.check_block(k, digest);
+                plain.hash_reset();
+                assert_eq!(
+                    memoised.check_block_memo(&words, k, &mut memo),
+                    (digest, found, matched),
+                    "{algo:?} round {round}"
+                );
+                assert_eq!(
+                    memo,
+                    BlockMemo {
+                        digest: Some(digest),
+                        way: 2
+                    }
+                );
+                assert!(memoised.hasher_is_reset());
+                assert_eq!(memoised.stats(), plain.stats());
+                assert_eq!(memoised.iht().stats(), plain.iht().stats());
+                assert_eq!(memoised.iht().lru_order(), plain.iht().lru_order());
+            }
+            assert_eq!(plain.stats().words_hashed, 9);
+        }
     }
 
     #[test]

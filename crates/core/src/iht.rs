@@ -127,37 +127,47 @@ impl Iht {
     /// A hit refreshes the entry's recency. A mismatch also counts as a
     /// lookup but does not refresh (the program is about to be killed).
     pub fn lookup(&mut self, key: BlockKey, hash: u32) -> LookupOutcome {
+        let mut hint = self.mru;
+        self.lookup_from(key, hash, &mut hint)
+    }
+
+    /// [`Iht::lookup`] probing way `*hint` first, then the rest in
+    /// order. On a key match both `*hint` and the table's MRU way are
+    /// set to the matching way. Like the MRU probe this is pure search
+    /// order: keys are unique in the table, so the hint is checked by
+    /// a key compare before it is trusted, and outcomes, statistics and
+    /// recency are exactly those of [`Iht::lookup`] whatever its value
+    /// (an out-of-range hint is clamped).
+    pub fn lookup_from(&mut self, key: BlockKey, hash: u32, hint: &mut usize) -> LookupOutcome {
         self.stats.lookups += 1;
         let stamp = self.tick();
-        let mru = self.mru.min(self.slots.len() - 1);
-        let check = |i: usize, slots: &mut [Option<Slot>], stats: &mut IhtStats| {
-            let slot = slots[i].as_mut()?;
-            if slot.record.key != key {
-                return None;
-            }
-            if slot.record.hash == hash {
-                slot.stamp = stamp;
-                stats.hits += 1;
-                Some(LookupOutcome::Hit)
-            } else {
-                stats.mismatches += 1;
-                Some(LookupOutcome::Mismatch {
-                    expected: slot.record.hash,
-                })
-            }
+        let n = self.slots.len();
+        let first = (*hint).min(n - 1);
+        let holds = |s: &Option<Slot>| s.is_some_and(|s| s.record.key == key);
+        let way = if holds(&self.slots[first]) {
+            Some(first)
+        } else {
+            (0..n).find(|&i| i != first && holds(&self.slots[i]))
         };
-        // Probe the most-recently-matched way first (see `mru`).
-        if let Some(out) = check(mru, &mut self.slots, &mut self.stats) {
-            return out;
-        }
-        for i in (0..self.slots.len()).filter(|&i| i != mru) {
-            if let Some(out) = check(i, &mut self.slots, &mut self.stats) {
-                self.mru = i;
-                return out;
+        let Some(way) = way else {
+            self.stats.misses += 1;
+            return LookupOutcome::Miss;
+        };
+        *hint = way;
+        self.mru = way;
+        let slot = self.slots[way]
+            .as_mut()
+            .unwrap_or_else(|| unreachable!("matched way is valid"));
+        if slot.record.hash == hash {
+            slot.stamp = stamp;
+            self.stats.hits += 1;
+            LookupOutcome::Hit
+        } else {
+            self.stats.mismatches += 1;
+            LookupOutcome::Mismatch {
+                expected: slot.record.hash,
             }
         }
-        self.stats.misses += 1;
-        LookupOutcome::Miss
     }
 
     /// Probe without touching recency or statistics (used by tests and

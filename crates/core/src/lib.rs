@@ -43,7 +43,7 @@ pub mod iht;
 pub mod splitmix;
 
 pub use block::{BlockKey, BlockRecord};
-pub use checker::{Cic, CicConfig, CicStats};
+pub use checker::{BlockMemo, Cic, CicConfig, CicStats};
 pub use error::SimError;
 pub use hash::{hasher_for, BlockHasher, HashAlgo};
 pub use iht::{Iht, LookupOutcome};

@@ -5,6 +5,7 @@
 //! round-trips.
 
 use cimon_core::{hash, BlockKey, BlockRecord, HashAlgoKind, Iht, LookupOutcome, SimError};
+use cimon_isa::codec::Enc;
 use proptest::prelude::*;
 
 /// Abstract operations on the table.
@@ -85,6 +86,44 @@ proptest! {
             }
             prop_assert!(iht.len() <= cap);
             prop_assert_eq!(iht.len(), model.entries.len());
+        }
+    }
+
+    /// The way hint is search order only: a lookup probing any hint
+    /// first — stale, wrong or out of range — leaves outcomes,
+    /// statistics, recency and the serialised table (MRU way included)
+    /// exactly as the plain lookup does.
+    #[test]
+    fn hinted_lookup_is_indistinguishable_from_lookup(
+        cap in 1usize..9,
+        ops in prop::collection::vec(arb_op(), 1..120),
+        hints in prop::collection::vec(0usize..12, 120..121),
+    ) {
+        let mut plain = Iht::new(cap);
+        let mut hinted = Iht::new(cap);
+        for (op, &hint) in ops.into_iter().zip(&hints) {
+            match op {
+                Op::Lookup { start, hash } => {
+                    let mut way = hint;
+                    let got = hinted.lookup_from(key(start), hash as u32, &mut way);
+                    prop_assert_eq!(got, plain.lookup(key(start), hash as u32));
+                    if got == LookupOutcome::Miss {
+                        prop_assert_eq!(way, hint);
+                    } else {
+                        prop_assert!(way < cap);
+                    }
+                }
+                Op::Insert { start, hash } => {
+                    let record = BlockRecord { key: key(start), hash: hash as u32 };
+                    prop_assert_eq!(hinted.insert_lru(record), plain.insert_lru(record));
+                }
+            }
+            prop_assert_eq!(hinted.stats(), plain.stats());
+            prop_assert_eq!(hinted.lru_order(), plain.lru_order());
+            let (mut a, mut b) = (Enc::new(), Enc::new());
+            hinted.encode_into(&mut a);
+            plain.encode_into(&mut b);
+            prop_assert_eq!(a.into_bytes(), b.into_bytes());
         }
     }
 

@@ -20,7 +20,7 @@
 //!   [`Monitor::params`] to have the monitoring micro-ops embedded in
 //!   the generated spec (so the observe/check hooks fire).
 
-use cimon_core::{BlockKey, Cic, CicStats};
+use cimon_core::{BlockKey, BlockMemo, Cic, CicStats};
 use cimon_isa::codec::{CodecError, Dec, Enc};
 use cimon_microop::{ExceptionKind, MonitorParams};
 use cimon_os::{MissResolution, OsKernel, OsKernelState, OsStats, TerminationCause};
@@ -163,7 +163,18 @@ pub trait Monitor {
     /// to the composition the default performs; monitors with real
     /// hardware behind the hooks override it to save the per-call
     /// dispatch on the block fast path.
-    fn observe_check_reset(&mut self, words: &[u32], key: BlockKey) -> (u32, bool, bool) {
+    ///
+    /// `memo` is `Some` only when the digest sits at reset on entry and
+    /// `words` are the immutable cached words of the one block slot the
+    /// memo belongs to, proven equal to memory: a monitor may then keep
+    /// per-block state there (the CIC memoises the digest and its IHT
+    /// way, [`Cic::check_block_memo`]). The default ignores it.
+    fn observe_check_reset(
+        &mut self,
+        words: &[u32],
+        key: BlockKey,
+        _memo: Option<&mut BlockMemo>,
+    ) -> (u32, bool, bool) {
         let digest = self.observe_block(words);
         let (found, matched) = self.check_block(key, digest);
         self.hash_reset();
@@ -294,7 +305,15 @@ impl Monitor for CicMonitor {
         self.cic.check_block(key, hash)
     }
 
-    fn observe_check_reset(&mut self, words: &[u32], key: BlockKey) -> (u32, bool, bool) {
+    fn observe_check_reset(
+        &mut self,
+        words: &[u32],
+        key: BlockKey,
+        memo: Option<&mut BlockMemo>,
+    ) -> (u32, bool, bool) {
+        if let Some(memo) = memo {
+            return self.cic.check_block_memo(words, key, memo);
+        }
         let digest = self.cic.hash_block_step(words);
         let (found, matched) = self.cic.check_block(key, digest);
         self.cic.hash_reset();

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cimon_core::hash::{BlockHasher, HashAlgo};
-use cimon_core::{BlockKey, Cic, CicConfig, CicStats, HashAlgoKind, SimError};
+use cimon_core::{BlockKey, BlockMemo, Cic, CicConfig, CicStats, HashAlgoKind, SimError};
 use cimon_isa::codec::{CodecError, Dec, Enc};
 use cimon_isa::{semantics, Funct, IOpcode, Instr, Reg, Syscall, INSTR_BYTES};
 use cimon_mem::{FetchBus, Memory, ProgramImage};
@@ -958,6 +958,12 @@ pub struct Processor {
     /// [`LIVE_IN_SKIP_AFTER`], the dead tail is dropped from the
     /// `plan_fits` hot path (see [`BlockPlan::binding_live_in_checks`]).
     live_in_skip: Vec<u8>,
+    /// Per-slot memoised monitor state for blocks checked from reset on
+    /// the planned path ([`Monitor::observe_check_reset`]). Not part of
+    /// snapshots: a memo is a pure function of the slot's immutable
+    /// words and the monitor's fixed algorithm and seed, and its way
+    /// hint is checked before it is trusted.
+    memos: Vec<BlockMemo>,
     dp: Datapath,
     regs: RegFile,
     hi: u32,
@@ -1086,6 +1092,10 @@ impl Processor {
             Some(cache) => vec![0; cache.len()],
             None => Vec::new(),
         };
+        let memos = match &block_cache {
+            Some(cache) => vec![BlockMemo::default(); cache.len()],
+            None => Vec::new(),
+        };
         Processor {
             spec,
             stage_if,
@@ -1097,6 +1107,7 @@ impl Processor {
             plans_ok,
             validated,
             live_in_skip,
+            memos,
             dp,
             regs,
             hi: 0,
@@ -1581,6 +1592,7 @@ impl Processor {
             }
             if planned {
                 self.block_loop_planned(
+                    s,
                     block.entries,
                     block.words,
                     plan,
@@ -1756,6 +1768,7 @@ impl Processor {
     #[allow(clippy::too_many_arguments)]
     fn block_loop_planned(
         &mut self,
+        slot: usize,
         entries: &[PredecodedEntry],
         words: &[u32],
         plan: &crate::timing::BlockPlan,
@@ -1830,9 +1843,16 @@ impl Processor {
         let mut pending = None;
         if monitored {
             if entry.is_control_flow {
-                let start = if *sta == 0 { start_pc } else { *sta };
+                // Entered at reset, the block's digest depends on its
+                // bulk-validated words alone: let the monitor memoise it.
+                let (start, memo) = if *sta == 0 {
+                    (start_pc, Some(&mut self.memos[slot]))
+                } else {
+                    (*sta, None)
+                };
                 let key = BlockKey::new(start, pc);
-                let (digest, found, matched) = self.env.monitor.observe_check_reset(words, key);
+                let (digest, found, matched) =
+                    self.env.monitor.observe_check_reset(words, key, memo);
                 if !found {
                     pending = Some((ExceptionKind::HashMiss, key, digest));
                 } else if !matched {

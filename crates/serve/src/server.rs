@@ -236,6 +236,16 @@ const CHAIN_SEED: u32 = 0xFFFF_FFFF;
 
 type CampaignKey = (String, usize, HashAlgoKind, u32);
 
+/// A completed result in the done-cache.
+enum Done {
+    /// A run's row, decoded once when cached: the canonical
+    /// `parse_row(row_body(..))` form a replay answers with, so replays
+    /// skip the parse. It journals (and rotates) as `row_body` of it.
+    Row(Box<ResultRow>),
+    /// A campaign's final result, as its journal body.
+    Campaign(Box<str>),
+}
+
 struct Inner {
     cfg: ServeConfig,
     state: AtomicU8,
@@ -247,8 +257,8 @@ struct Inner {
     append_counter: AtomicUsize,
     stream_counter: AtomicUsize,
     journal: Mutex<Option<Journal>>,
-    /// Completed results by request key: `(tag, body)`.
-    done: Mutex<HashMap<u64, (String, String)>>,
+    /// Completed results by request key.
+    done: Mutex<HashMap<u64, Done>>,
     /// Journaled campaign chunks: `(key, start, end)` → body.
     chunks: Mutex<HashMap<(u64, usize, usize), String>>,
     /// Durable per-row sweep progress by request key.
@@ -323,11 +333,17 @@ impl Inner {
         let done = lock(&self.done);
         let mut live: Vec<Record> = done
             .iter()
-            .map(|(&key, (tag, body))| Record {
-                key,
-                tag: tag.clone(),
-                extra: String::new(),
-                body: body.clone(),
+            .map(|(&key, result)| {
+                let (tag, body) = match result {
+                    Done::Row(row) => ("row", row_body(row)),
+                    Done::Campaign(body) => ("campaign", body.to_string()),
+                };
+                Record {
+                    key,
+                    tag: tag.to_string(),
+                    extra: String::new(),
+                    body,
+                }
             })
             .collect();
         for (&(key, start, end), body) in lock(&self.chunks).iter() {
@@ -433,8 +449,11 @@ impl Inner {
         deadline: Option<Duration>,
         admitted: usize,
     ) -> Result<Option<Response>, SimError> {
-        if let Some((_, body)) = lock(&self.done).get(&key).cloned() {
-            let row = parse_row(&body)?;
+        let cached = match lock(&self.done).get(&key) {
+            Some(Done::Row(row)) => Some(ResultRow::clone(row)),
+            _ => None,
+        };
+        if let Some(row) = cached {
             self.metrics.replayed.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(Response::Row {
                 id,
@@ -457,13 +476,18 @@ impl Inner {
         };
         let row = self.run_with_retry(&experiment, admitted * ATTEMPT_SPAN, key)?;
         let body = row_body(&row);
+        // Cache before the append, so a rotation the append triggers
+        // keeps this row in the live set. A body that does not decode
+        // is journaled but not cached: a later request recomputes it.
+        if let Ok(canonical) = parse_row(&body) {
+            lock(&self.done).insert(key, Done::Row(Box::new(canonical)));
+        }
         self.journal_append(Record {
             key,
             tag: "row".to_string(),
             extra: String::new(),
-            body: body.clone(),
+            body,
         });
-        lock(&self.done).insert(key, ("row".to_string(), body));
         Ok(Some(Response::Row {
             id,
             row,
@@ -735,7 +759,11 @@ impl Inner {
         spec: &CampaignSpec,
         deadline: Option<Duration>,
     ) -> Result<Option<Response>, SimError> {
-        if let Some((_, body)) = lock(&self.done).get(&key).cloned() {
+        let cached = match lock(&self.done).get(&key) {
+            Some(Done::Campaign(body)) => Some(body.clone()),
+            _ => None,
+        };
+        if let Some(body) = cached {
             let result = report::campaign_from_json(&format!("{{{body}}}"))
                 .map_err(|m| SimError::Protocol { message: m })?;
             self.metrics.replayed.fetch_add(1, Ordering::Relaxed);
@@ -789,24 +817,24 @@ impl Inner {
             };
             let r = campaign.run_range_with_workers(&cfg, start..end, self.cfg.engine_workers)?;
             let body = campaign_body(&r);
+            lock(&self.chunks).insert((key, start, end), body.clone());
             self.journal_append(Record {
                 key,
                 tag: "chunk".to_string(),
                 extra: format!("{start}..{end}"),
-                body: body.clone(),
+                body,
             });
-            lock(&self.chunks).insert((key, start, end), body);
             merged.merge(&r);
             start = end;
         }
         let body = campaign_body(&merged);
+        lock(&self.done).insert(key, Done::Campaign(body.clone().into_boxed_str()));
         self.journal_append(Record {
             key,
             tag: "campaign".to_string(),
             extra: String::new(),
-            body: body.clone(),
+            body,
         });
-        lock(&self.done).insert(key, ("campaign".to_string(), body));
         Ok(Some(Response::Campaign {
             id,
             result: merged,
@@ -867,16 +895,22 @@ impl Server {
             let (j, replay) = Journal::open(path).map_err(|e| SimError::Io {
                 message: format!("journal open failed: {e}"),
             })?;
-            metrics
-                .journal_corrupt_dropped
-                .store(replay.corrupt_dropped as u64, Ordering::Relaxed);
+            let mut corrupt_dropped = replay.corrupt_dropped as u64;
             metrics
                 .journal_torn
                 .store(u64::from(replay.torn_truncated), Ordering::Relaxed);
             for r in replay.records {
                 match r.tag.as_str() {
-                    "row" | "campaign" => {
-                        done.insert(r.key, (r.tag, r.body));
+                    // A row whose body does not decode counts as
+                    // journal damage and is recomputed on demand.
+                    "row" => match parse_row(&r.body) {
+                        Ok(row) => {
+                            done.insert(r.key, Done::Row(Box::new(row)));
+                        }
+                        Err(_) => corrupt_dropped += 1,
+                    },
+                    "campaign" => {
+                        done.insert(r.key, Done::Campaign(r.body.into_boxed_str()));
                     }
                     "chunk" => {
                         if let Some((a, b)) = parse_range(&r.extra) {
@@ -911,6 +945,9 @@ impl Server {
                     _ => {}
                 }
             }
+            metrics
+                .journal_corrupt_dropped
+                .store(corrupt_dropped, Ordering::Relaxed);
             journal = Some(j);
         }
         let inner = Arc::new(Inner {

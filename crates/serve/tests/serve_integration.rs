@@ -278,3 +278,136 @@ fn unknown_workloads_are_invalid_config_and_never_retried() {
     );
     server.drain();
 }
+
+/// A private scratch directory per test.
+fn scratch_dir(label: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "cimon-serve-integration-{label}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Every `row` record in the journal at `path`, in append order.
+fn journaled_rows(path: &std::path::Path) -> Vec<(u64, String)> {
+    let (_, replay) = cimon_serve::Journal::open(path).expect("journal reopens");
+    replay
+        .records
+        .into_iter()
+        .filter(|r| r.tag == "row")
+        .map(|r| (r.key, r.body))
+        .collect()
+}
+
+/// The done-cache holds decoded rows and re-encodes them when a
+/// rotation rewrites the journal: journal → restart → rotation must
+/// reproduce every live `row` body byte for byte, and replays answer
+/// with the same rows the fresh runs journaled.
+#[test]
+fn rotation_after_restart_rewrites_every_row_body_byte_for_byte() {
+    if chaos_mode() {
+        return;
+    }
+    let dir = scratch_dir("rotate");
+    let journal = dir.join("results.journal");
+    let workloads = ["bitcount", "sha", "stringsearch", "dijkstra"];
+    let first = Server::start(quick_config(), Some(&journal)).expect("server starts");
+    let mut fresh = Vec::new();
+    for (i, w) in workloads.iter().enumerate() {
+        match first.call(run_request(i as u64, w)) {
+            Response::Row {
+                mut row, replayed, ..
+            } => {
+                assert!(!replayed);
+                // The journal form, like the wire, omits the exit code
+                // the artifact expects.
+                row.expected_exit = None;
+                fresh.push(row);
+            }
+            other => panic!("expected a row, got {other:?}"),
+        }
+    }
+    first.drain();
+    let written = journaled_rows(&journal);
+    assert_eq!(written.len(), workloads.len());
+
+    // Restart with a limit the next append must cross: it rotates the
+    // journal down to the live set, re-encoded from the done-cache.
+    let second = Server::start(
+        ServeConfig {
+            journal_rotate_bytes: 1,
+            ..quick_config()
+        },
+        Some(&journal),
+    )
+    .expect("server restarts");
+    assert_eq!(second.metrics().journal_corrupt_dropped, 0);
+    for (i, w) in workloads.iter().enumerate() {
+        match second.call(run_request(10 + i as u64, w)) {
+            Response::Row { row, replayed, .. } => {
+                assert!(replayed, "{w} must replay from the journal");
+                assert_eq!(format!("{row:?}"), format!("{:?}", fresh[i]), "{w}");
+            }
+            other => panic!("expected a replayed row, got {other:?}"),
+        }
+    }
+    let mut extra = run_request(20, "bitcount");
+    if let RequestBody::Run(spec) = &mut extra.body {
+        spec.iht_entries = 16;
+    }
+    assert!(matches!(
+        second.call(extra),
+        Response::Row {
+            replayed: false,
+            ..
+        }
+    ));
+    second.drain();
+    let rotated = journaled_rows(&journal);
+    assert_eq!(
+        rotated.len(),
+        written.len() + 1,
+        "the live set survives rotation"
+    );
+    for (key, body) in &written {
+        let after = rotated.iter().find(|(k, _)| k == key).map(|(_, b)| b);
+        assert_eq!(after, Some(body), "row {key:016x} rewritten differently");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `row` record whose CRC holds but whose body does not decode is
+/// journal damage: counted in `journal_corrupt_dropped`, never served,
+/// and recomputed on demand.
+#[test]
+fn undecodable_journaled_rows_count_as_damage_and_are_recomputed() {
+    if chaos_mode() {
+        return;
+    }
+    let dir = scratch_dir("undecodable");
+    let journal = dir.join("results.journal");
+    let request = run_request(1, "bitcount");
+    {
+        let (mut j, _) = cimon_serve::Journal::open(&journal).expect("journal opens");
+        let record = cimon_serve::Record {
+            key: request.key(),
+            tag: "row".to_string(),
+            extra: String::new(),
+            body: "\"workload\":\"bitcount\"".to_string(),
+        };
+        j.append(&record, 0).expect("append");
+    }
+    let server = Server::start(quick_config(), Some(&journal)).expect("server starts");
+    assert_eq!(server.metrics().journal_corrupt_dropped, 1);
+    match server.call(request) {
+        Response::Row { row, replayed, .. } => {
+            assert!(!replayed, "a damaged row must be recomputed");
+            assert_eq!(row.status, RowStatus::Ok);
+        }
+        other => panic!("expected a recomputed row, got {other:?}"),
+    }
+    server.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
