@@ -35,43 +35,17 @@ struct Slot {
     stamp: u64,
 }
 
-/// Cumulative lookup statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IhtStats {
-    /// Total lookups performed.
-    pub lookups: u64,
-    /// Lookups that hit with a matching hash.
-    pub hits: u64,
-    /// Lookups that found the key but not the hash.
-    pub mismatches: u64,
-    /// Lookups that found no entry.
-    pub misses: u64,
-}
-
-impl IhtStats {
-    /// Miss rate in percent (the paper's Figure 6 metric). Zero when no
-    /// lookups have been performed.
-    pub fn miss_rate_percent(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            100.0 * self.misses as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// The internal hash table.
 #[derive(Clone, Debug)]
 pub struct Iht {
     slots: Vec<Option<Slot>>,
     clock: u64,
-    stats: IhtStats,
     /// Slot of the last key match — probed first on the next lookup.
     /// Hot loops re-check the block they just checked, so this turns
     /// the common-case scan into a single compare. Pure search-order
     /// state: the modelled CAM searches all ways in parallel, and keys
     /// are unique in the table, so which slot is examined first is
-    /// unobservable in outcomes, statistics, and recency.
+    /// unobservable in outcomes and recency.
     mru: usize,
 }
 
@@ -86,7 +60,6 @@ impl Iht {
         Iht {
             slots: vec![None; entries],
             clock: 0,
-            stats: IhtStats::default(),
             mru: 0,
         }
     }
@@ -104,16 +77,6 @@ impl Iht {
     /// Whether no entry is valid.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> IhtStats {
-        self.stats
-    }
-
-    /// Reset statistics (e.g. after warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = IhtStats::default();
     }
 
     fn tick(&mut self) -> u64 {
@@ -135,11 +98,10 @@ impl Iht {
     /// order. On a key match both `*hint` and the table's MRU way are
     /// set to the matching way. Like the MRU probe this is pure search
     /// order: keys are unique in the table, so the hint is checked by
-    /// a key compare before it is trusted, and outcomes, statistics and
-    /// recency are exactly those of [`Iht::lookup`] whatever its value
+    /// a key compare before it is trusted, and outcomes and recency
+    /// are exactly those of [`Iht::lookup`] whatever its value
     /// (an out-of-range hint is clamped).
     pub fn lookup_from(&mut self, key: BlockKey, hash: u32, hint: &mut usize) -> LookupOutcome {
-        self.stats.lookups += 1;
         let stamp = self.tick();
         let n = self.slots.len();
         let first = (*hint).min(n - 1);
@@ -150,7 +112,6 @@ impl Iht {
             (0..n).find(|&i| i != first && holds(&self.slots[i]))
         };
         let Some(way) = way else {
-            self.stats.misses += 1;
             return LookupOutcome::Miss;
         };
         *hint = way;
@@ -160,17 +121,15 @@ impl Iht {
             .unwrap_or_else(|| unreachable!("matched way is valid"));
         if slot.record.hash == hash {
             slot.stamp = stamp;
-            self.stats.hits += 1;
             LookupOutcome::Hit
         } else {
-            self.stats.mismatches += 1;
             LookupOutcome::Mismatch {
                 expected: slot.record.hash,
             }
         }
     }
 
-    /// Probe without touching recency or statistics (used by tests and
+    /// Probe without touching recency (used by tests and
     /// the OS to inspect the table).
     pub fn probe(&self, key: BlockKey) -> Option<BlockRecord> {
         self.slots
@@ -241,15 +200,11 @@ impl Iht {
         self.slots.iter().flatten().map(|s| s.record)
     }
 
-    /// Serialize the table — entries, recency stamps, statistics, and
-    /// search-order state — for checkpoint serialization.
+    /// Serialize the table — entries, recency stamps and search-order
+    /// state — for checkpoint serialization.
     pub fn encode_into(&self, e: &mut Enc) {
         e.usize(self.slots.len());
         e.u64(self.clock);
-        e.u64(self.stats.lookups);
-        e.u64(self.stats.hits);
-        e.u64(self.stats.mismatches);
-        e.u64(self.stats.misses);
         e.usize(self.mru);
         for slot in &self.slots {
             match slot {
@@ -279,12 +234,6 @@ impl Iht {
             });
         }
         let clock = d.u64()?;
-        let stats = IhtStats {
-            lookups: d.u64()?,
-            hits: d.u64()?,
-            mismatches: d.u64()?,
-            misses: d.u64()?,
-        };
         let mru = d.usize()?;
         if mru >= capacity {
             return Err(CodecError::Invalid {
@@ -318,12 +267,7 @@ impl Iht {
                 None
             });
         }
-        Ok(Iht {
-            slots,
-            clock,
-            stats,
-            mru,
-        })
+        Ok(Iht { slots, clock, mru })
     }
 }
 
@@ -354,9 +298,6 @@ mod tests {
             iht.lookup(BlockKey::new(0x2000, 0x2008), 0xaa),
             LookupOutcome::Miss
         );
-        let s = iht.stats();
-        assert_eq!((s.lookups, s.hits, s.mismatches, s.misses), (3, 1, 1, 1));
-        assert!((s.miss_rate_percent() - 33.333).abs() < 0.01);
     }
 
     #[test]
@@ -464,7 +405,6 @@ mod tests {
         let mut back = Iht::decode_from(&mut d).unwrap();
         d.finish().unwrap();
         assert_eq!(back.capacity(), iht.capacity());
-        assert_eq!(back.stats(), iht.stats());
         assert_eq!(back.lru_order(), iht.lru_order());
         let a: Vec<_> = back.records().collect();
         let b: Vec<_> = iht.records().collect();
@@ -480,13 +420,5 @@ mod tests {
         let mut z = Enc::new();
         z.usize(0);
         assert!(Iht::decode_from(&mut Dec::new(&z.into_bytes())).is_err());
-    }
-
-    #[test]
-    fn reset_stats_zeroes() {
-        let mut iht = Iht::new(1);
-        iht.lookup(BlockKey::new(0, 0), 0);
-        iht.reset_stats();
-        assert_eq!(iht.stats(), IhtStats::default());
     }
 }

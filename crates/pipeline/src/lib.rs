@@ -55,7 +55,7 @@ pub mod regfile;
 pub mod timing;
 
 pub use blockexec::{BlockCache, CachedBlock, MAX_BLOCK_LEN};
-pub use monitor::{CicMonitor, CicMonitorState, Monitor, MonitorState, NullMonitor, Verdict};
+pub use monitor::{CicMonitor, CicMonitorState, Verdict};
 pub use predecode::{PredecodedEntry, PredecodedImage};
 pub use processor::{
     BlockEvent, BlockExec, BlockExecStats, ConsoleEvent, FaultKind, MonitorConfig, Predecode,

@@ -20,7 +20,7 @@ use cimon_os::{
 };
 
 use crate::blockexec::BlockCache;
-use crate::monitor::{CicMonitor, Monitor, MonitorState, NullMonitor, Verdict};
+use crate::monitor::{CicMonitor, CicMonitorState, Verdict};
 use crate::predecode::{PredecodedEntry, PredecodedImage};
 use crate::regfile::RegFile;
 use crate::timing::{Timing, TimingConfig};
@@ -293,13 +293,24 @@ type BlockCheck = (BlockKey, u32, bool, bool);
 struct EnvState {
     mem: Memory,
     bus: FetchBus,
-    monitor: Box<dyn Monitor>,
+    /// The monitor; `None` runs the baseline spec, whose micro-programs
+    /// never call the hash or lookup hooks below.
+    monitor: Option<CicMonitor>,
     exceptions: Vec<ExceptionKind>,
     last_check: Option<BlockCheck>,
     /// Captures unit answers while the `interp-check` feature replays
     /// each stage through every executor tier.
     #[cfg(feature = "interp-check")]
     recording: Option<crosscheck::Recording>,
+}
+
+impl EnvState {
+    /// The monitor, on a path only the monitored spec reaches.
+    fn cic_monitor(&mut self) -> &mut CicMonitor {
+        self.monitor
+            .as_mut()
+            .unwrap_or_else(|| unreachable!("monitoring hook on the baseline processor"))
+    }
 }
 
 impl MicroEnv for EnvState {
@@ -315,7 +326,7 @@ impl MicroEnv for EnvState {
     }
 
     fn hash_step(&mut self, _old: u32, instr: u32) -> u32 {
-        let h = self.monitor.observe_fetch(instr);
+        let h = self.cic_monitor().cic.hash_step(instr);
         #[cfg(feature = "interp-check")]
         if let Some(rec) = &mut self.recording {
             rec.hashes.push(h);
@@ -324,7 +335,7 @@ impl MicroEnv for EnvState {
     }
 
     fn hash_reset(&mut self) {
-        self.monitor.hash_reset();
+        self.cic_monitor().cic.hash_reset();
         #[cfg(feature = "interp-check")]
         if let Some(rec) = &mut self.recording {
             rec.resets += 1;
@@ -333,7 +344,7 @@ impl MicroEnv for EnvState {
 
     fn iht_lookup(&mut self, start: u32, end: u32, hash: u32) -> (bool, bool) {
         let key = BlockKey::new(start, end);
-        let (found, matched) = self.monitor.check_block(key, hash);
+        let (found, matched) = self.cic_monitor().cic.check_block(key, hash);
         self.last_check = Some((key, hash, found, matched));
         #[cfg(feature = "interp-check")]
         if let Some(rec) = &mut self.recording {
@@ -530,14 +541,10 @@ mod crosscheck {
     }
 }
 
-/// Planned dispatches after which a slot's provably-dead live-in checks
-/// are dropped from the `plan_fits` hot path.
-const LIVE_IN_SKIP_AFTER: u8 = 16;
-
 /// A complete checkpoint of a run in flight: architectural state (PC,
 /// registers, HI/LO, pipeline latches), memory (copy-on-write — the
 /// clone shares pages until either side writes), the scheduler, the
-/// monitor plane's captured state, and the dispatch-plane bookkeeping
+/// monitor's captured state, and the dispatch-plane bookkeeping
 /// (validation epochs, statistics, console and block-event logs), so a
 /// restored run continues **byte-identical** — counters included.
 ///
@@ -554,7 +561,7 @@ pub struct ProcessorSnapshot {
     lo: u32,
     mem: Memory,
     fetch_count: u64,
-    monitor: MonitorState,
+    monitor: Option<CicMonitorState>,
     timing: Timing,
     pc: u32,
     done: Option<RunOutcome>,
@@ -564,7 +571,6 @@ pub struct ProcessorSnapshot {
     shadow_block_start: Option<u32>,
     block_stats: BlockExecStats,
     validated: Vec<u64>,
-    live_in_skip: Vec<u8>,
     /// CRC-32 over the architectural core of the checkpoint (registers,
     /// HI/LO, PC, counters, and every resident memory word), recorded
     /// at capture time and re-verified by [`Processor::restore`].
@@ -633,7 +639,13 @@ impl ProcessorSnapshot {
         e.u32(self.lo);
         self.mem.encode_into(&mut e);
         e.u64(self.fetch_count);
-        self.monitor.encode_into(&mut e);
+        match &self.monitor {
+            None => e.u8(0),
+            Some(state) => {
+                e.u8(1);
+                state.encode_into(&mut e);
+            }
+        }
         self.timing.encode_into(&mut e);
         e.u32(self.pc);
         match &self.done {
@@ -677,7 +689,6 @@ impl ProcessorSnapshot {
         for &v in &self.validated {
             e.u64(v);
         }
-        e.bytes(&self.live_in_skip);
         e.u32(self.checksum);
         e.into_bytes()
     }
@@ -712,7 +723,15 @@ impl ProcessorSnapshot {
         let lo = d.u32()?;
         let mem = Memory::decode_from(d)?;
         let fetch_count = d.u64()?;
-        let monitor = MonitorState::decode_from(d)?;
+        let monitor = match d.u8()? {
+            0 => None,
+            1 => Some(CicMonitorState::decode_from(d)?),
+            _ => {
+                return Err(CodecError::Invalid {
+                    what: "monitor state tag",
+                })
+            }
+        };
         let timing = Timing::decode_from(d)?;
         let pc = d.u32()?;
         let done = if d.bool()? {
@@ -755,7 +774,6 @@ impl ProcessorSnapshot {
         for _ in 0..n_validated {
             validated.push(d.u64()?);
         }
-        let live_in_skip = d.bytes()?.to_vec();
         let checksum = d.u32()?;
         let snapshot = ProcessorSnapshot {
             dp,
@@ -774,7 +792,6 @@ impl ProcessorSnapshot {
             shadow_block_start,
             block_stats,
             validated,
-            live_in_skip,
             checksum,
         };
         if snapshot.compute_checksum() != checksum {
@@ -952,14 +969,8 @@ pub struct Processor {
     /// the text region, re-dispatching the block skips the byte
     /// comparison entirely.
     validated: Vec<u64>,
-    /// Per-slot planned-dispatch streaks for the live-in skip bit:
-    /// counts dispatches on which the plan's provably-dead live-in
-    /// checks were evaluated without firing; once a slot reaches
-    /// [`LIVE_IN_SKIP_AFTER`], the dead tail is dropped from the
-    /// `plan_fits` hot path (see [`BlockPlan::binding_live_in_checks`]).
-    live_in_skip: Vec<u8>,
     /// Per-slot memoised monitor state for blocks checked from reset on
-    /// the planned path ([`Monitor::observe_check_reset`]). Not part of
+    /// the planned path ([`CicMonitor::observe_check_reset`]). Not part of
     /// snapshots: a memo is a pure function of the slot's immutable
     /// words and the monitor's fixed algorithm and seed, and its way
     /// hint is checked before it is trusted.
@@ -968,7 +979,7 @@ pub struct Processor {
     regs: RegFile,
     hi: u32,
     lo: u32,
-    /// Memory, fetch bus, monitor plane, and the per-cycle scratch
+    /// Memory, fetch bus, monitor, and the per-cycle scratch
     /// buffers, as one owned micro-op environment.
     env: EnvState,
     timing: Timing,
@@ -1017,40 +1028,18 @@ impl Processor {
     /// specs produced by [`embed_monitor`], and a programming error
     /// otherwise.
     pub fn new(image: &ProgramImage, config: ProcessorConfig) -> Processor {
-        let monitor: Box<dyn Monitor> = match config.monitor.clone() {
-            None => Box::new(NullMonitor),
-            Some(mon) => Box::new(CicMonitor::new(mon)),
-        };
-        Processor::with_monitor(image, config, monitor)
-    }
-
-    /// Build a processor around an explicit monitor plane.
-    ///
-    /// `config.monitor` is ignored — the given `monitor` is installed
-    /// instead, so any [`Monitor`] implementation (the CIC, a null
-    /// monitor, or a custom one) can drive the same pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec embedded for [`Monitor::params`] fails
-    /// validation — impossible for specs produced by [`embed_monitor`],
-    /// and a programming error otherwise.
-    pub fn with_monitor(
-        image: &ProgramImage,
-        config: ProcessorConfig,
-        monitor: Box<dyn Monitor>,
-    ) -> Processor {
-        let spec = match monitor.params() {
+        let monitor = config.monitor.map(CicMonitor::new);
+        let spec = match &monitor {
             None => baseline_spec(),
-            Some(params) => {
-                let spec = embed_monitor(&baseline_spec(), &params);
+            Some(m) => {
+                let spec = embed_monitor(&baseline_spec(), &m.params());
                 spec.validate()
                     .unwrap_or_else(|e| unreachable!("embedded monitor spec must validate: {e}"));
                 spec
             }
         };
         let mut dp = Datapath::new();
-        dp.rhash_seed = monitor.hash_reset_value();
+        dp.rhash_seed = monitor.as_ref().map_or(0, |m| m.cic.hash_reset_value());
         dp.reset(DReg::Rhash);
         let mut regs = RegFile::new();
         regs.write(Reg::SP, cimon_mem::image::STACK_TOP);
@@ -1088,10 +1077,6 @@ impl Processor {
             Some(cache) => vec![u64::MAX; cache.len()],
             None => Vec::new(),
         };
-        let live_in_skip = match &block_cache {
-            Some(cache) => vec![0; cache.len()],
-            None => Vec::new(),
-        };
         let memos = match &block_cache {
             Some(cache) => vec![BlockMemo::default(); cache.len()],
             None => Vec::new(),
@@ -1106,7 +1091,6 @@ impl Processor {
             block_stats: BlockExecStats::default(),
             plans_ok,
             validated,
-            live_in_skip,
             memos,
             dp,
             regs,
@@ -1157,19 +1141,14 @@ impl Processor {
         &self.regs
     }
 
-    /// The checker, when the installed monitor has one.
+    /// The checker, when monitored.
     pub fn cic(&self) -> Option<&Cic> {
-        self.env.monitor.cic()
+        self.env.monitor.as_ref().map(CicMonitor::cic)
     }
 
-    /// The OS kernel, when the installed monitor has one.
+    /// The OS kernel, when monitored.
     pub fn os(&self) -> Option<&OsKernel> {
-        self.env.monitor.os()
-    }
-
-    /// The installed monitor plane.
-    pub fn monitor(&self) -> &dyn Monitor {
-        &*self.env.monitor
+        self.env.monitor.as_ref().map(CicMonitor::os)
     }
 
     /// Counters of the block-dispatch fast path (all zero when block
@@ -1205,8 +1184,8 @@ impl Processor {
             instructions: self.instret,
             cycles: self.timing.cycles(),
             monitor_stall_cycles: self.timing.stall_cycles(),
-            cic: self.env.monitor.cic_stats(),
-            os: self.env.monitor.os_stats(),
+            cic: self.cic().map(Cic::stats),
+            os: self.os().map(OsKernel::stats),
             console: self.console.clone(),
         }
     }
@@ -1251,7 +1230,7 @@ impl Processor {
             lo: self.lo,
             mem: self.env.mem.clone(),
             fetch_count: self.env.bus.fetch_count(),
-            monitor: self.env.monitor.snapshot_state(),
+            monitor: self.env.monitor.as_ref().map(CicMonitor::snapshot_state),
             timing: self.timing.clone(),
             pc: self.pc,
             done: self.done,
@@ -1261,7 +1240,6 @@ impl Processor {
             shadow_block_start: self.shadow_block_start,
             block_stats: self.block_stats,
             validated: self.validated.clone(),
-            live_in_skip: self.live_in_skip.clone(),
             checksum: 0,
         };
         snapshot.checksum = snapshot.compute_checksum();
@@ -1295,7 +1273,9 @@ impl Processor {
         self.lo = snapshot.lo;
         self.env.mem = snapshot.mem.clone();
         self.env.bus.set_fetch_count(snapshot.fetch_count);
-        self.env.monitor.restore_state(&snapshot.monitor);
+        if let (Some(m), Some(state)) = (&mut self.env.monitor, &snapshot.monitor) {
+            m.restore_state(state);
+        }
         self.env.exceptions.clear();
         self.env.last_check = None;
         self.timing = snapshot.timing.clone();
@@ -1307,7 +1287,6 @@ impl Processor {
         self.shadow_block_start = snapshot.shadow_block_start;
         self.block_stats = snapshot.block_stats;
         self.validated = snapshot.validated.clone();
-        self.live_in_skip = snapshot.live_in_skip.clone();
         Ok(())
     }
 
@@ -1555,7 +1534,7 @@ impl Processor {
                 ok
             }
         };
-        let monitored = self.stage_check.is_some();
+        let monitored = self.env.monitor.is_some();
         // Baseline specs never touch STA/RHASH: skip the datapath
         // round-trips (the bail path still writes the carried values,
         // which are the registers' resting state, zero).
@@ -1575,43 +1554,21 @@ impl Processor {
             // in one `Timing::issue_block` call; otherwise every
             // instruction issues through the mask fast path.
             let plan = cache.plan_at(slot);
-            let s = slot as usize;
-            let skip = self.live_in_skip[s] >= LIVE_IN_SKIP_AFTER;
-            let checks = if skip {
-                plan.binding_live_in_checks()
-            } else {
-                plan.live_in_checks()
-            };
-            let planned =
-                self.plans_ok && self.timing.plan_fits_prefix(plan, self.max_cycles, checks);
-            // The provably-dead tail was evaluated and (by
-            // construction) did not fire: advance the slot's skip
-            // streak toward dropping it.
-            if !skip && self.plans_ok && plan.provably_dead_checks() > 0 {
-                self.live_in_skip[s] += 1;
-            }
-            if planned {
+            if self.plans_ok && self.timing.plan_fits(plan, self.max_cycles) {
                 self.block_loop_planned(
-                    s,
+                    slot as usize,
                     block.entries,
                     block.words,
                     plan,
-                    monitored,
                     &mut sta,
                     &mut rhash,
                     &mut reached,
                 )
             } else {
-                self.block_loop::<true>(
-                    block.entries,
-                    monitored,
-                    &mut sta,
-                    &mut rhash,
-                    &mut reached,
-                )
+                self.block_loop::<true>(block.entries, &mut sta, &mut rhash, &mut reached)
             }
         } else {
-            self.block_loop::<false>(block.entries, monitored, &mut sta, &mut rhash, &mut reached)
+            self.block_loop::<false>(block.entries, &mut sta, &mut rhash, &mut reached)
         };
         if bulk {
             // Bulk validation stood in for the per-word fetches of
@@ -1662,7 +1619,6 @@ impl Processor {
     fn block_loop<const BULK: bool>(
         &mut self,
         entries: &[PredecodedEntry],
-        monitored: bool,
         sta: &mut u32,
         rhash: &mut u32,
         reached: &mut u64,
@@ -1678,8 +1634,8 @@ impl Processor {
             } else {
                 self.env.bus.fetch(&self.env.mem, pc).unwrap_or(0)
             };
-            if monitored {
-                *rhash = self.env.monitor.observe_fetch(word);
+            if let Some(m) = &mut self.env.monitor {
+                *rhash = m.cic.hash_step(word);
                 if *sta == 0 {
                     *sta = pc;
                 }
@@ -1695,9 +1651,9 @@ impl Processor {
             // which by construction is the block's last entry). ----
             let mut pending = None;
             if entry.is_control_flow {
-                if monitored {
+                if let Some(m) = &mut self.env.monitor {
                     let key = BlockKey::new(*sta, pc);
-                    let (found, matched) = self.env.monitor.check_block(key, *rhash);
+                    let (found, matched) = m.cic.check_block(key, *rhash);
                     if !found {
                         pending = Some((ExceptionKind::HashMiss, key, *rhash));
                     } else if !matched {
@@ -1705,7 +1661,7 @@ impl Processor {
                     }
                     *sta = 0;
                     *rhash = self.dp.rhash_seed;
-                    self.env.monitor.hash_reset();
+                    m.cic.hash_reset();
                 }
                 if self.record_blocks {
                     if let Some(start) = self.shadow_block_start.take() {
@@ -1729,7 +1685,7 @@ impl Processor {
 
             // ---- Exception resolution (after issue). ----
             if let Some((kind, key, hash)) = pending {
-                match self.env.monitor.resolve(kind, key, hash) {
+                match self.env.cic_monitor().resolve(kind, key, hash) {
                     Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                     Verdict::Kill(cause) => {
                         return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
@@ -1760,7 +1716,7 @@ impl Processor {
     /// verdicts; and bulk validation already excluded stores before
     /// the terminator, so executing the body touches neither memory
     /// text nor the monitor — which is what lets the hash observes of
-    /// the executed words batch into one [`Monitor::observe_block`]
+    /// the executed words batch into one [`Cic::hash_block_step`]
     /// call after the body completes (same words, same order, same
     /// `words_hashed` count as observing each before its execute).
     /// The only early exit is an execution fault, which observes and
@@ -1772,7 +1728,6 @@ impl Processor {
         entries: &[PredecodedEntry],
         words: &[u32],
         plan: &crate::timing::BlockPlan,
-        monitored: bool,
         sta: &mut u32,
         rhash: &mut u32,
         reached: &mut u64,
@@ -1809,8 +1764,8 @@ impl Processor {
             // stepping would have left the schedule.
             let observed = executed + 1;
             *reached += observed as u64;
-            if monitored {
-                *rhash = self.env.monitor.observe_block(&words[..observed]);
+            if let Some(m) = &mut self.env.monitor {
+                *rhash = m.cic.hash_block_step(&words[..observed]);
                 if *sta == 0 {
                     *sta = start_pc;
                 }
@@ -1841,7 +1796,7 @@ impl Processor {
         let entry = &term[0];
         let pc = self.pc;
         let mut pending = None;
-        if monitored {
+        if let Some(m) = &mut self.env.monitor {
             if entry.is_control_flow {
                 // Entered at reset, the block's digest depends on its
                 // bulk-validated words alone: let the monitor memoise it.
@@ -1851,8 +1806,7 @@ impl Processor {
                     (*sta, None)
                 };
                 let key = BlockKey::new(start, pc);
-                let (digest, found, matched) =
-                    self.env.monitor.observe_check_reset(words, key, memo);
+                let (digest, found, matched) = m.observe_check_reset(words, key, memo);
                 if !found {
                     pending = Some((ExceptionKind::HashMiss, key, digest));
                 } else if !matched {
@@ -1861,7 +1815,7 @@ impl Processor {
                 *sta = 0;
                 *rhash = self.dp.rhash_seed;
             } else {
-                *rhash = self.env.monitor.observe_block(words);
+                *rhash = m.cic.hash_block_step(words);
                 if *sta == 0 {
                     *sta = start_pc;
                 }
@@ -1882,7 +1836,7 @@ impl Processor {
             .issue_masks(entry.klass, entry.src_mask, entry.dest_mask, exec.taken);
         self.instret += 1;
         if let Some((kind, key, hash)) = pending {
-            match self.env.monitor.resolve(kind, key, hash) {
+            match self.env.cic_monitor().resolve(kind, key, hash) {
                 Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => {
                     return BlockLoopExit::Finished(RunOutcome::Detected { cause, pc });
@@ -1912,7 +1866,7 @@ impl Processor {
 
     /// Sort out monitoring exceptions raised by the ID check program
     /// (waiting in the environment's exception buffer) by asking the
-    /// monitor plane for a verdict on each.
+    /// monitor for a verdict on each.
     fn resolve_pending(&mut self, pc: u32) -> Option<RunOutcome> {
         let (key, hash, _found, _matched) = self
             .env
@@ -1920,7 +1874,7 @@ impl Processor {
             .unwrap_or_else(|| unreachable!("exception implies a lookup happened"));
         for i in 0..self.env.exceptions.len() {
             let kind = self.env.exceptions[i];
-            match self.env.monitor.resolve(kind, key, hash) {
+            match self.env.cic_monitor().resolve(kind, key, hash) {
                 Verdict::Continue { stall_cycles } => self.timing.stall(stall_cycles),
                 Verdict::Kill(cause) => return Some(RunOutcome::Detected { cause, pc }),
             }
@@ -2575,6 +2529,36 @@ mod tests {
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.regs().snapshot(), b.regs().snapshot());
         assert_eq!(a.cycles(), b.cycles());
+    }
+
+    #[test]
+    fn snapshot_from_bytes_rejects_an_unknown_monitor_tag() {
+        let (prog, fht) = trace_fht(SUM_LOOP);
+        let config = ProcessorConfig::monitored(CicConfig::with_entries(8), fht);
+        let mut cpu = Processor::new(&prog.image, config);
+        assert!(cpu.run_to_instret(17).is_none());
+        let snap = cpu.snapshot();
+        // The tag follows the datapath, registers, HI/LO, memory and
+        // fetch count.
+        let mut prefix = Enc::new();
+        snap.dp.encode_into(&mut prefix);
+        for v in snap.regs.snapshot() {
+            prefix.u32(v);
+        }
+        prefix.u32(snap.hi);
+        prefix.u32(snap.lo);
+        snap.mem.encode_into(&mut prefix);
+        prefix.u64(snap.fetch_count);
+        let at = prefix.into_bytes().len();
+        let mut bytes = snap.to_bytes();
+        assert_eq!(bytes[at], 1, "monitored snapshots carry tag 1");
+        bytes[at] = 2;
+        assert_eq!(
+            ProcessorSnapshot::from_bytes(&bytes).err(),
+            Some(CodecError::Invalid {
+                what: "monitor state tag"
+            })
+        );
     }
 
     #[test]

@@ -286,20 +286,10 @@ impl Timing {
     /// [`issue_block`]: Timing::issue_block
     #[inline]
     pub fn plan_fits(&self, plan: &BlockPlan, max_cycles: u64) -> bool {
-        self.plan_fits_prefix(plan, max_cycles, plan.live_in.len())
-    }
-
-    /// [`Timing::plan_fits`] restricted to the plan's first `checks`
-    /// live-in constraints. The skip-bit fast path passes
-    /// [`BlockPlan::binding_live_in_checks`]: the plan sorts its
-    /// provably-dead constraints to the tail, so dropping them cannot
-    /// change the answer (`timing_masks.rs` pins the equivalence).
-    #[inline]
-    pub fn plan_fits_prefix(&self, plan: &BlockPlan, max_cycles: u64, checks: usize) -> bool {
         let x = self.block_entry_id();
         self.cycles() <= max_cycles
             && x + plan.delta_end as u64 + 4 <= max_cycles
-            && plan.live_in[..checks].iter().all(|c| {
+            && plan.live_in.iter().all(|c| {
                 let table = if c.at_id {
                     &self.ready_id
                 } else {
@@ -462,15 +452,11 @@ pub struct BlockPlan {
     /// Live-in reads whose readiness bounds must be checked per
     /// dispatch: one per (register, read level), at the earliest delta
     /// that reads it (later reads of the same register at the same
-    /// level are implied). Constraints that can actually bind under the
-    /// plan's [`TimingConfig`] come first; provably-dead ones (read so
-    /// deep into the block that no reachable readiness bound can exceed
-    /// the read cycle) are sorted to the tail so the skip-bit fast path
-    /// can drop them wholesale.
+    /// level are implied). Only constraints that can actually bind
+    /// under the plan's [`TimingConfig`] are kept: a read so deep into
+    /// the block that no reachable readiness bound can exceed its read
+    /// cycle is dropped at build time.
     live_in: Vec<LiveIn>,
-    /// Number of leading `live_in` entries that can bind; the tail
-    /// `live_in[checked_len..]` is provably dead.
-    checked_len: u32,
     /// Final readiness-table state per register the body writes.
     publishes: Vec<Publish>,
 }
@@ -502,7 +488,7 @@ impl BlockPlan {
             }
             written |= e.dest_mask;
         }
-        // Partition the live-in constraints: a check is provably dead
+        // Drop the provably-dead live-in constraints: a check is dead
         // when no readiness bound reachable at block entry can exceed
         // its read cycle. At entry, `x ≥ last_id + 1` and every
         // producer issued at `id ≤ last_id = x − 1`, so the bounds top
@@ -524,8 +510,7 @@ impl BlockPlan {
             };
             c.delta >= horizon
         };
-        live_in.sort_by_key(|c| provably_dead(c));
-        let checked_len = live_in.iter().filter(|c| !provably_dead(c)).count() as u32;
+        live_in.retain(|c| !provably_dead(c));
         let mut publishes = Vec::with_capacity(written.count_ones() as usize);
         let mut m = written;
         while m != 0 {
@@ -544,7 +529,6 @@ impl BlockPlan {
             body_len: body.len() as u32,
             delta_end,
             live_in,
-            checked_len,
             publishes,
         }
     }
@@ -557,17 +541,6 @@ impl BlockPlan {
     /// Live-in interlock checks this plan performs per dispatch.
     pub fn live_in_checks(&self) -> usize {
         self.live_in.len()
-    }
-
-    /// Live-in checks that can actually bind under the plan's
-    /// [`TimingConfig`] — the prefix the skip-bit fast path keeps.
-    pub fn binding_live_in_checks(&self) -> usize {
-        self.checked_len as usize
-    }
-
-    /// Live-in checks proven dead at build time (the droppable tail).
-    pub fn provably_dead_checks(&self) -> usize {
-        self.live_in.len() - self.checked_len as usize
     }
 }
 
@@ -870,12 +843,13 @@ mod tests {
     }
 
     #[test]
-    fn provably_dead_checks_partition_the_live_ins() {
+    fn provably_dead_live_ins_are_dropped_at_build() {
         use crate::predecode::PredecodedEntry;
         use cimon_isa::Instr;
-        // addu $t2,$t0,$t1 reads its live-ins at delta 0 — bindable.
-        // The same read 5 instructions deep is provably dead for GPRs
-        // (horizon 3 at ID, 1 at EX).
+        // Each `addu $r,$r,$r` below reads a fresh live-in at EX, one
+        // instruction deeper than the last: only the read at delta 0 is
+        // inside the GPR-at-EX horizon (1). The closing read of
+        // $t0/$t1 at delta 5 is dead too.
         let pc = 0x0040_0000;
         let addu = |d: u32, s: u32, t: u32| (s << 21) | (t << 16) | (d << 11) | 0x21;
         let body: Vec<PredecodedEntry> = (0..6u32)
@@ -889,19 +863,23 @@ mod tests {
             })
             .collect();
         let plan = BlockPlan::build(&body, TimingConfig::default());
-        // $t0/$t1 read at delta 5 ≥ 3: dead. The self-churn registers
-        // are read at delta 0..: live.
-        assert!(plan.provably_dead_checks() >= 2);
-        assert_eq!(
-            plan.live_in_checks(),
-            plan.binding_live_in_checks() + plan.provably_dead_checks()
-        );
-        // The deep read's entries sit in the dead tail.
-        let mut t = Timing::default();
-        alu(&mut t, &[], Some(Reg::T0));
-        assert_eq!(
-            t.plan_fits(&plan, u64::MAX),
-            t.plan_fits_prefix(&plan, u64::MAX, plan.binding_live_in_checks())
-        );
+        assert_eq!(plan.live_in_checks(), 1);
+        // The kept check binds: right behind a load of $t3 it rejects
+        // the replay; behind an unrelated load the plan fits.
+        let load = |dest: Reg| {
+            let mut t = Timing::default();
+            t.issue(
+                IssueClass::Load,
+                &[Reg::SP],
+                false,
+                false,
+                Some(dest),
+                false,
+                false,
+            );
+            t
+        };
+        assert!(!load(Reg::T3).plan_fits(&plan, u64::MAX));
+        assert!(load(Reg::T0).plan_fits(&plan, u64::MAX));
     }
 }

@@ -3,8 +3,8 @@
 //! A [`ProcessorSnapshot`] taken at an arbitrary mid-run point and
 //! restored into a **fresh** processor must continue to an end state
 //! byte-identical to the donor's — outcome, statistics, cycles,
-//! registers, and block-execution counters — for the baseline
-//! (`NullMonitor`) and CIC-monitored processors, under block dispatch
+//! registers, and block-execution counters — for the baseline and
+//! CIC-monitored processors, under block dispatch
 //! and per-instruction stepping, and in post-tamper states where the
 //! cut lands between a bail-out and the detection that follows it.
 //!

@@ -268,51 +268,6 @@ proptest! {
         probe_all(&mut oracle, &mut fast);
     }
 
-    /// Dropping a plan's provably-dead live-in tail is safe from ANY
-    /// reachable schedule state: `plan_fits_prefix` over just the
-    /// binding prefix answers exactly like the full `plan_fits`, for
-    /// random prior streams, random bodies, and every latency
-    /// configuration — the contract the per-slot chronically-dead
-    /// skip bit in the dispatcher relies on.
-    #[test]
-    fn dead_live_in_tail_never_changes_plan_fits(
-        seed in any::<u64>(),
-        prefix_n in 0usize..40,
-        body_n in 0usize..24,
-        budget in any::<prop::sample::Index>(),
-    ) {
-        let mut rng = Rng(seed);
-        let cfg = config(&mut rng);
-        let mut t = Timing::new(cfg);
-        for _ in 0..prefix_n {
-            if rng.next() % 10 == 0 {
-                t.stall((rng.next() % 120) as u64);
-                continue;
-            }
-            let e = entry(&mut rng, true);
-            let taken = e.is_control_flow && rng.next() % 2 == 0;
-            issue_oracle(&mut t, &e, taken);
-        }
-        let body: Vec<PredecodedEntry> =
-            (0..body_n).map(|_| entry(&mut rng, false)).collect();
-        let plan = BlockPlan::build(&body, cfg);
-        prop_assert_eq!(
-            plan.live_in_checks(),
-            plan.binding_live_in_checks() + plan.provably_dead_checks()
-        );
-        // Tight and loose budgets around the current schedule position.
-        for max_cycles in [
-            u64::MAX,
-            t.cycles() + budget.index(64) as u64,
-        ] {
-            prop_assert_eq!(
-                t.plan_fits(&plan, max_cycles),
-                t.plan_fits_prefix(&plan, max_cycles, plan.binding_live_in_checks()),
-                "skip-bit prefix diverged from the full check"
-            );
-        }
-    }
-
     /// `plan_fits` is exact about the cycle budget: whenever it accepts
     /// a block, sequential stepping would not have hit `MaxCycles`
     /// before the terminator's budget poll.

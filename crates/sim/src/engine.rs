@@ -465,7 +465,7 @@ impl Sweep {
     /// Execute every experiment on the worker pool and return the rows
     /// in push order.
     ///
-    /// A failing grid point — a panicking monitor plane, a watchdog
+    /// A failing grid point — a panicking simulation, a watchdog
     /// timeout, a hash-generation error — never fails the sweep: its
     /// row comes back poisoned ([`RowStatus::Failed`] /
     /// [`RowStatus::TimedOut`]) while every other row is byte-identical

@@ -116,20 +116,23 @@ pub struct RunReport {
 /// Run a program on the baseline (unmonitored) processor with the
 /// default safety cycle budget.
 pub fn run_baseline(image: &ProgramImage) -> RunReport {
-    run_baseline_with_max(image, ProcessorConfig::baseline().max_cycles)
+    let max_cycles = ProcessorConfig::baseline().max_cycles;
+    run_configured(
+        image,
+        None,
+        max_cycles,
+        None,
+        Predecode::Auto,
+        BlockExec::Auto,
+    )
 }
 
-/// Run a program on the baseline processor with an explicit safety
-/// cycle budget (so sweeps give baseline and monitored rows the same
-/// cap).
-pub fn run_baseline_with_max(image: &ProgramImage, max_cycles: u64) -> RunReport {
-    run_baseline_configured(image, max_cycles, None, Predecode::Auto, BlockExec::Auto)
-}
-
-/// [`run_baseline_with_max`] with a shared predecoded image and block
-/// cache, so repeated runs (sweeps) skip the per-run decode and
-/// block-grouping passes. `max_wall`, when set, arms the wall-clock
-/// watchdog so baseline rows share the sweep's timeout semantics.
+/// [`run_baseline`] with an explicit safety cycle budget (so sweeps
+/// give baseline and monitored rows the same cap) and a shared
+/// predecoded image and block cache, so repeated runs skip the per-run
+/// decode and block-grouping passes. `max_wall`, when set, arms the
+/// wall-clock watchdog so baseline rows share the sweep's timeout
+/// semantics.
 pub fn run_baseline_prepared(
     image: &ProgramImage,
     max_cycles: u64,
@@ -137,40 +140,14 @@ pub fn run_baseline_prepared(
     predecoded: Arc<PredecodedImage>,
     blocks: Arc<BlockCache>,
 ) -> RunReport {
-    run_baseline_configured(
+    run_configured(
         image,
+        None,
         max_cycles,
         max_wall,
         Predecode::Shared(predecoded),
         BlockExec::Shared(blocks),
     )
-}
-
-fn run_baseline_configured(
-    image: &ProgramImage,
-    max_cycles: u64,
-    max_wall: Option<Duration>,
-    predecode: Predecode,
-    block_exec: BlockExec,
-) -> RunReport {
-    let mut cpu = Processor::new(
-        image,
-        ProcessorConfig {
-            max_cycles,
-            max_wall,
-            predecode,
-            block_exec,
-            ..ProcessorConfig::baseline()
-        },
-    );
-    let outcome = cpu.run();
-    let stats = cpu.stats();
-    RunReport {
-        outcome,
-        stats,
-        fht_entries: 0,
-        miss_rate_percent: 0.0,
-    }
 }
 
 /// Build the FHT for an image under a config (static analysis).
@@ -211,7 +188,14 @@ pub fn run_monitored_with_fht(
     fht: impl Into<Arc<FullHashTable>>,
     config: &SimConfig,
 ) -> RunReport {
-    run_monitored_configured(image, fht.into(), config, Predecode::Auto, BlockExec::Auto)
+    run_configured(
+        image,
+        Some(monitor_config(fht.into(), config)),
+        config.max_cycles,
+        config.max_wall,
+        Predecode::Auto,
+        BlockExec::Auto,
+    )
 }
 
 /// [`run_monitored_with_fht`] with a shared predecoded image and block
@@ -224,42 +208,49 @@ pub fn run_monitored_prepared(
     predecoded: Arc<PredecodedImage>,
     blocks: Arc<BlockCache>,
 ) -> RunReport {
-    run_monitored_configured(
+    run_configured(
         image,
-        fht.into(),
-        config,
+        Some(monitor_config(fht.into(), config)),
+        config.max_cycles,
+        config.max_wall,
         Predecode::Shared(predecoded),
         BlockExec::Shared(blocks),
     )
 }
 
-fn run_monitored_configured(
-    image: &ProgramImage,
-    fht: Arc<FullHashTable>,
-    config: &SimConfig,
-    predecode: Predecode,
-    block_exec: BlockExec,
-) -> RunReport {
-    let fht_entries = fht.len();
-    let cic = CicConfig {
-        iht_entries: config.iht_entries,
-        hash_algo: config.hash_algo,
-        hash_seed: config.hash_seed,
-    };
-    let monitor = MonitorConfig {
-        cic,
+/// The checker and OS side a [`SimConfig`] describes, around `fht`.
+fn monitor_config(fht: Arc<FullHashTable>, config: &SimConfig) -> MonitorConfig {
+    MonitorConfig {
+        cic: CicConfig {
+            iht_entries: config.iht_entries,
+            hash_algo: config.hash_algo,
+            hash_seed: config.hash_seed,
+        },
         fht,
         policy: config.policy,
         exception_cost: ExceptionCost {
             cycles: config.exception_cycles,
         },
-    };
+    }
+}
+
+/// Build, run and report one processor; `monitor` is `None` for the
+/// baseline.
+fn run_configured(
+    image: &ProgramImage,
+    monitor: Option<MonitorConfig>,
+    max_cycles: u64,
+    max_wall: Option<Duration>,
+    predecode: Predecode,
+    block_exec: BlockExec,
+) -> RunReport {
+    let fht_entries = monitor.as_ref().map_or(0, |m| m.fht.len());
     let mut cpu = Processor::new(
         image,
         ProcessorConfig {
-            monitor: Some(monitor),
-            max_cycles: config.max_cycles,
-            max_wall: config.max_wall,
+            monitor,
+            max_cycles,
+            max_wall,
             predecode,
             block_exec,
             ..ProcessorConfig::baseline()
@@ -267,7 +258,7 @@ fn run_monitored_configured(
     );
     let outcome = cpu.run();
     let stats = cpu.stats();
-    let miss_rate_percent = stats.cic.map(|c| c.miss_rate_percent()).unwrap_or(0.0);
+    let miss_rate_percent = stats.cic.map_or(0.0, |c| c.miss_rate_percent());
     RunReport {
         outcome,
         stats,

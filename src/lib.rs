@@ -16,8 +16,8 @@
 //! * [`asm`] — the two-pass assembler
 //! * [`mem`] — sparse memory, program images, the tappable fetch bus
 //! * [`microop`] — micro-operations and the ASIP design methodology
-//! * [`pipeline`] — the 6-stage processor with the pluggable
-//!   [`Monitor`](pipeline::Monitor) plane
+//! * [`pipeline`] — the 6-stage processor and the
+//!   [`CicMonitor`](pipeline::CicMonitor) it drives from IF and ID
 //! * [`core`] — the Code Integrity Checker (hash units, IHT, comparator)
 //! * [`os`] — FHT, refill policies, exception handling
 //! * [`hashgen`] — static/trace expected-hash generation
@@ -81,7 +81,7 @@ pub fn artifact_for(
 /// The names most programs need.
 pub mod prelude {
     pub use cimon_core::{CicConfig, HashAlgoKind};
-    pub use cimon_pipeline::{Monitor, Predecode, Processor, ProcessorConfig, RunOutcome};
+    pub use cimon_pipeline::{Predecode, Processor, ProcessorConfig, RunOutcome};
     pub use cimon_sim::engine::{Artifact, Experiment, ResultRow, Sweep};
     pub use cimon_sim::{
         build_fht, overhead_percent, run_baseline, run_baseline_prepared, run_monitored,

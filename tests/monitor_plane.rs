@@ -1,35 +1,9 @@
-//! The monitor plane contract: a pipeline behaves architecturally
-//! identically under any [`Monitor`] implementation — the CIC, a null
-//! monitor, or a custom one — across the full workload suite.
+//! The monitor contract: a CIC-monitored pipeline behaves
+//! architecturally identically to the baseline across the full workload
+//! suite, and differs from it in timing only by the monitor's stalls.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use cimon::core::{BlockKey, CicConfig};
-use cimon::microop::{ExceptionKind, MonitorParams};
-use cimon::pipeline::{CicMonitor, Monitor, MonitorConfig, NullMonitor, Verdict};
+use cimon::core::CicConfig;
 use cimon::prelude::*;
-
-#[test]
-fn null_monitor_is_architecturally_identical_to_baseline() {
-    for w in cimon::workloads::registry() {
-        let mut base = Processor::new(&w.image, ProcessorConfig::baseline());
-        let base_out = base.run();
-        let mut null =
-            Processor::with_monitor(&w.image, ProcessorConfig::baseline(), Box::new(NullMonitor));
-        let null_out = null.run();
-        assert_eq!(base_out, null_out, "{}", w.name);
-        assert_eq!(base.regs().snapshot(), null.regs().snapshot(), "{}", w.name);
-        assert_eq!(base.cycles(), null.cycles(), "{}", w.name);
-        assert_eq!(
-            base.stats().instructions,
-            null.stats().instructions,
-            "{}",
-            w.name
-        );
-        assert!(null.cic().is_none() && null.os().is_none());
-    }
-}
 
 #[test]
 fn cic_monitor_preserves_architectural_state_on_all_workloads() {
@@ -41,9 +15,10 @@ fn cic_monitor_preserves_architectural_state_on_all_workloads() {
 
         let mut base = Processor::new(&w.image, ProcessorConfig::baseline());
         let base_out = base.run();
-        let monitor = CicMonitor::new(MonitorConfig::new(CicConfig::with_entries(16), fht));
-        let mut mon =
-            Processor::with_monitor(&w.image, ProcessorConfig::baseline(), Box::new(monitor));
+        let mut mon = Processor::new(
+            &w.image,
+            ProcessorConfig::monitored(CicConfig::with_entries(16), fht),
+        );
         let mon_out = mon.run();
 
         assert_eq!(
@@ -64,65 +39,9 @@ fn cic_monitor_preserves_architectural_state_on_all_workloads() {
     }
 }
 
-/// A custom monitor: accepts every block, raises nothing, and counts
-/// the fetch-observe / check events through shared counters. The
-/// pipeline needs no changes to run it — the Monitor trait is the whole
-/// integration surface.
-struct CountingMonitor {
-    fetches: Arc<AtomicU64>,
-    checks: Arc<AtomicU64>,
-}
-
-impl Monitor for CountingMonitor {
-    fn params(&self) -> Option<MonitorParams> {
-        Some(MonitorParams::default())
-    }
-
-    fn observe_fetch(&mut self, _word: u32) -> u32 {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        0
-    }
-
-    fn hash_reset(&mut self) {}
-
-    fn check_block(&mut self, _key: BlockKey, _hash: u32) -> (bool, bool) {
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        (true, true)
-    }
-
-    fn resolve(&mut self, _kind: ExceptionKind, _key: BlockKey, _hash: u32) -> Verdict {
-        Verdict::Continue { stall_cycles: 0 }
-    }
-}
-
-#[test]
-fn custom_monitor_plugs_in_without_pipeline_changes() {
-    let w = cimon::workloads::get("bitcount").expect("bitcount exists");
-    let fetches = Arc::new(AtomicU64::new(0));
-    let checks = Arc::new(AtomicU64::new(0));
-    let monitor = CountingMonitor {
-        fetches: fetches.clone(),
-        checks: checks.clone(),
-    };
-    let mut cpu = Processor::with_monitor(&w.image, ProcessorConfig::baseline(), Box::new(monitor));
-    let out = cpu.run();
-    assert_eq!(
-        out,
-        RunOutcome::Exited {
-            code: w.expected_exit
-        }
-    );
-    // The monitoring micro-ops drove the hooks: every committed
-    // instruction was observed, every control-flow block was checked.
-    assert_eq!(fetches.load(Ordering::Relaxed), cpu.stats().instructions);
-    assert!(checks.load(Ordering::Relaxed) > 0);
-    // An accept-all monitor stalls nothing.
-    assert_eq!(cpu.stats().monitor_stall_cycles, 0);
-}
-
 #[test]
 fn monitored_runs_differ_from_baseline_only_in_stall_cycles() {
-    // The trait hooks sit on the hot path; this pins down that the
+    // The monitor sits on the hot path; this pins down that the
     // *timing* difference between baseline and monitored runs is
     // exactly the resolve() stalls, for every workload.
     for w in cimon::workloads::registry() {

@@ -44,6 +44,24 @@ fn all_workloads_run_correct_monitored_cic8() {
         assert!(cic.checks > 0, "{} never checked a block", w.name);
         // Every fetched instruction was hashed.
         assert_eq!(cic.words_hashed, report.stats.instructions, "{}", w.name);
+        // The counters partition the checks.
+        assert_eq!(
+            cic.hits + cic.misses + cic.mismatches,
+            cic.checks,
+            "{}",
+            w.name
+        );
+        // Every control-flow retirement was checked exactly once: as
+        // many checks as the blocks a baseline run records.
+        let mut base = Processor::new(
+            &prog.image,
+            ProcessorConfig {
+                record_blocks: true,
+                ..ProcessorConfig::baseline()
+            },
+        );
+        base.run();
+        assert_eq!(cic.checks, base.blocks().len() as u64, "{}", w.name);
     }
 }
 
