@@ -2,15 +2,18 @@
 //! paths: HASHFU throughput per algorithm (word-at-a-time and
 //! batched), FHT generation, IHT lookup latency across table sizes
 //! (plain and way-hinted), one block-end check hashed vs memoised, the
-//! scheduler's slice vs mask vs fused-block issue paths, and end-to-end
-//! simulator speed.
+//! scheduler's slice vs mask vs fused-block issue paths, end-to-end
+//! simulator speed, and the fixed set-up cost of a faulted campaign run
+//! (image load, processor construction, checkpoint restore).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cimon_core::hash::{hash_block, hasher_for};
 use cimon_core::{BlockKey, BlockMemo, BlockRecord, Cic, CicConfig, HashAlgoKind, Iht};
 use cimon_pipeline::predecode::PredecodedImage;
-use cimon_pipeline::{BlockPlan, Processor, ProcessorConfig, Timing, TimingConfig};
+use cimon_pipeline::{
+    BlockCache, BlockExec, BlockPlan, Predecode, Processor, ProcessorConfig, Timing, TimingConfig,
+};
 use cimon_sim::SimConfig;
 
 fn bench_hash_units(c: &mut Criterion) {
@@ -306,6 +309,42 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_run_setup(c: &mut Criterion) {
+    // The fixed cost of one faulted campaign run on stringsearch: load
+    // the image, build a monitored processor over shared caches (as
+    // `Campaign` does), and restore the clean run's mid-point
+    // checkpoint — verifying its CRC-32 over every resident word.
+    let w = cimon_workloads::get("stringsearch").expect("exists");
+    let fht = std::sync::Arc::new(cimon_sim::build_fht(&w.image, &SimConfig::default()).unwrap());
+    let predecoded = std::sync::Arc::new(PredecodedImage::new(&w.image));
+    let blocks = std::sync::Arc::new(BlockCache::new(predecoded.clone()));
+    let config = ProcessorConfig {
+        predecode: Predecode::Shared(predecoded),
+        block_exec: BlockExec::Shared(blocks),
+        ..ProcessorConfig::monitored(CicConfig::with_entries(8), fht)
+    };
+    let mut cpu = Processor::new(&w.image, config.clone());
+    cpu.run();
+    let half = cpu.instret() / 2;
+    let mut cpu = Processor::new(&w.image, config.clone());
+    assert!(cpu.run_to_instret(half).is_none(), "cut lands mid-run");
+    let snapshot = cpu.snapshot();
+
+    let mut group = c.benchmark_group("run_setup");
+    group.bench_function("to_memory", |b| b.iter(|| w.image.to_memory()));
+    group.bench_function("processor_new", |b| {
+        b.iter(|| Processor::new(&w.image, config.clone()))
+    });
+    group.bench_function("restore", |b| {
+        let mut cpu = Processor::new(&w.image, config.clone());
+        b.iter(|| cpu.restore(&snapshot).unwrap())
+    });
+    group.bench_function("snapshot_checksum", |b| {
+        b.iter(|| snapshot.compute_checksum())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hash_units,
@@ -314,6 +353,7 @@ criterion_group!(
     bench_fht_generation,
     bench_timing_issue,
     bench_iht_lookup,
-    bench_simulator
+    bench_simulator,
+    bench_run_setup
 );
 criterion_main!(benches);

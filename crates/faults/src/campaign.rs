@@ -34,7 +34,10 @@
 //!
 //! The reference snapshots stay in RAM: memory clones copy-on-write,
 //! so each one costs only the pages the clean run dirtied since the
-//! previous one. A snapshot whose restore fails its integrity checksum
+//! previous one. They carry no block-event log: the checkpointing run
+//! records blocks only to build the touch map and drains each window's
+//! events before the snapshot that ends it, and restarted runs do not
+//! record at all. A snapshot whose restore fails its integrity checksum
 //! degrades that one faulted run to a from-scratch execution —
 //! classifications never change, only `saved_cycles` shrinks.
 
@@ -390,8 +393,10 @@ impl Campaign {
 
     /// Re-run the clean reference with block recording, snapshotting
     /// every `instructions / 8` retired instructions, and derive the
-    /// per-window touch map. Returns `None` when the program writes its
-    /// own text (a pre-applied flip could be overwritten before its
+    /// per-window touch map. Each window's block events are drained out
+    /// of the processor before the snapshot at its end, so checkpoints
+    /// carry no block-event log. Returns `None` when the program writes
+    /// its own text (a pre-applied flip could be overwritten before its
     /// first fetch, so prefix reuse would be unsound).
     fn build_checkpoints(&self, instructions: u64) -> Option<Checkpoints> {
         const WINDOWS: u64 = 8;
@@ -405,41 +410,42 @@ impl Campaign {
         let text_epoch = cpu.mem().dense_epoch();
         let mut snaps = Vec::new();
         let mut snap_cycles = Vec::new();
-        let mut block_cuts = Vec::new();
+        // Per window, the `[start, end]` word range of each block.
+        let mut windows: Vec<Vec<(u32, u32)>> = Vec::new();
+        let mut drain = |cpu: &mut Processor| {
+            windows.push(
+                cpu.take_blocks()
+                    .iter()
+                    .map(|e| (e.key.start, e.key.end))
+                    .collect(),
+            );
+        };
         loop {
             let target = (snaps.len() as u64 + 1) * interval;
             match cpu.run_to_instret(target) {
                 Some(_) => break,
                 None => {
-                    let s = cpu.snapshot();
-                    snap_cycles.push(cpu.stats().cycles);
-                    block_cuts.push(s.blocks().len());
-                    snaps.push(s);
+                    drain(&mut cpu);
+                    snaps.push(cpu.snapshot());
+                    snap_cycles.push(cpu.cycles());
                 }
             }
         }
+        drain(&mut cpu);
         if cpu.mem().dense_epoch() != text_epoch {
             return None;
         }
-        let reference_cycles = cpu.stats().cycles;
-        let events = cpu.blocks();
-        let mut cuts = block_cuts;
-        cuts.push(events.len());
-        let mut touched = Vec::with_capacity(cuts.len());
-        let mut prev = 0;
-        for &end in &cuts {
-            let mut ranges: Vec<(u32, u32)> = events[prev..end]
-                .iter()
-                .map(|e| (e.key.start, e.key.end))
-                .collect();
+        let reference_cycles = cpu.cycles();
+        let mut touched = Vec::with_capacity(windows.len());
+        for i in 0..windows.len() {
+            let mut ranges = std::mem::take(&mut windows[i]);
             // The block in flight at the cut completes (and is logged)
             // in the next window, but its first words were already
             // fetched in this one: attribute it here as well.
-            if let Some(e) = events.get(end) {
-                ranges.push((e.key.start, e.key.end));
+            if let Some(&next) = windows.get(i + 1).and_then(|w| w.first()) {
+                ranges.push(next);
             }
             touched.push(merge_ranges(ranges));
-            prev = end;
         }
         Some(Checkpoints {
             snaps,
@@ -514,7 +520,7 @@ impl Campaign {
                     // before the flips can activate.
                     return (Outcome::Hung, max_cycles);
                 }
-                let mut cpu = self.processor_with(&self.fht, max_cycles, max_wall, true);
+                let mut cpu = self.processor_with(&self.fht, max_cycles, max_wall, false);
                 if cpu.restore(&cp.snaps[w - 1]).is_err() {
                     // A corrupted checkpoint must never change the
                     // classification: degrade to a from-scratch run.

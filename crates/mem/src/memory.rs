@@ -104,9 +104,10 @@ pub struct Memory {
     /// with snapshots until a text write lands.
     dense: Arc<[u8]>,
     /// Bumped by every write landing in the dense region (the program
-    /// text). Callers that validated a span of the region can skip
-    /// re-validating while this is unchanged — data and stack traffic
-    /// lives on the sparse pages and never bumps it.
+    /// text): once per scalar write, once per byte of a
+    /// [`Memory::write_bytes`] span. Callers that validated a span of
+    /// the region can skip re-validating while this is unchanged — data
+    /// and stack traffic lives on the sparse pages and never bumps it.
     dense_epoch: u64,
     pages: PageMap,
 }
@@ -158,9 +159,12 @@ impl Memory {
     }
 
     /// Generation counter of the dense region: incremented by every
-    /// write that lands inside it. Two equal readings with no tap in
-    /// between prove the region's bytes are unchanged, so block
-    /// dispatch revalidates a cached block only after text writes.
+    /// scalar write that lands inside it, and by the number of bytes a
+    /// [`write_bytes`](Memory::write_bytes) span lands inside it (so
+    /// loading an image leaves the same value a per-byte loop would).
+    /// Two equal readings with no tap in between prove the region's
+    /// bytes are unchanged, so block dispatch revalidates a cached
+    /// block only after text writes.
     #[inline]
     pub fn dense_epoch(&self) -> u64 {
         self.dense_epoch
@@ -364,10 +368,38 @@ impl Memory {
         Ok(())
     }
 
-    /// Copy a byte slice into memory starting at `base`.
+    /// Copy a byte slice into memory starting at `base`, wrapping past
+    /// the top of the address space.
+    ///
+    /// The result is exactly that of one [`write_u8`](Memory::write_u8)
+    /// per byte — contents, resident pages, copy-on-write sharing and
+    /// [`dense_epoch`](Memory::dense_epoch), which rises by the number
+    /// of bytes landing in the dense region — but the copy is made in
+    /// chunks: one `copy_from_slice` per page and one for the dense
+    /// region, each unsharing its buffer once. Program loading is the
+    /// main caller.
     pub fn write_bytes(&mut self, base: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(base.wrapping_add(i as u32), b);
+        let mut addr = base;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let n = if let Some(off) = self.dense_off(addr) {
+                let n = rest.len().min(self.dense.len() - off);
+                self.dense_mut()[off..off + n].copy_from_slice(&rest[..n]);
+                self.dense_epoch += n as u64;
+                n
+            } else {
+                let i = (addr % PAGE_SIZE) as usize;
+                let mut n = rest.len().min(PAGE_SIZE as usize - i);
+                if !self.dense.is_empty() {
+                    // Stop where the dense region begins inside this
+                    // page; `addr` is outside it, so the gap is nonzero.
+                    n = n.min(self.dense_base.wrapping_sub(addr) as usize);
+                }
+                self.page_mut(addr)[i..i + n].copy_from_slice(&rest[..n]);
+                n
+            };
+            addr = addr.wrapping_add(n as u32);
+            rest = &rest[n..];
         }
     }
 

@@ -548,9 +548,21 @@ mod crosscheck {
 /// (validation epochs, statistics, console and block-event logs), so a
 /// restored run continues **byte-identical** — counters included.
 ///
-/// A snapshot is tied to the configuration of the processor that took
-/// it: restore only into a processor built from the same image and
-/// [`ProcessorConfig`]. The fetch-bus *tap* is not captured — a
+/// A snapshot is tied to the processor that took it. Restore it only
+/// into a processor built from the same image and with the same
+/// [`ProcessorConfig`] fields that shape the run's state:
+/// - `monitor` (checker, FHT, refill policy and exception cost),
+/// - `timing`,
+/// - `predecode`, and
+/// - `block_exec` (the block cache, whose slots index the captured
+///   validation epochs).
+///
+/// The run-control fields may differ, and the restoring processor keeps
+/// its own: `max_cycles`, `max_wall`, `watchdog_poll_bits` and
+/// `record_blocks`. The restored block-event log is the one the
+/// snapshot carries — empty when the taker did not record or drained
+/// it with [`Processor::take_blocks`] — and only a recording processor
+/// appends to it. The fetch-bus *tap* is not captured either — a
 /// restored run installs its own (positional taps key off the restored
 /// fetch count).
 #[derive(Clone)]
@@ -616,12 +628,6 @@ impl ProcessorSnapshot {
     /// PC at the checkpoint.
     pub fn pc(&self) -> u32 {
         self.pc
-    }
-
-    /// Block events recorded up to the checkpoint (empty unless the
-    /// run had [`ProcessorConfig::record_blocks`] set).
-    pub fn blocks(&self) -> &[BlockEvent] {
-        &self.blocks
     }
 
     /// Serialize the complete checkpoint to bytes.
@@ -1178,6 +1184,14 @@ impl Processor {
         &self.blocks
     }
 
+    /// Move the recorded block events out, leaving the log empty;
+    /// recording continues into the emptied log. A run that drains the
+    /// log before each [`Processor::snapshot`] keeps its checkpoints
+    /// free of it.
+    pub fn take_blocks(&mut self) -> Vec<BlockEvent> {
+        std::mem::take(&mut self.blocks)
+    }
+
     /// Aggregate statistics.
     pub fn stats(&self) -> RunStats {
         RunStats {
@@ -1221,7 +1235,8 @@ impl Processor {
     /// common case: memory clones copy-on-write, and the dispatch-plane
     /// vectors are proportional to the block count, not the run length
     /// (the block-event log is cloned too, but it is empty unless
-    /// [`ProcessorConfig::record_blocks`] is set).
+    /// [`ProcessorConfig::record_blocks`] is set, and a recording run
+    /// can drain it first with [`Processor::take_blocks`]).
     pub fn snapshot(&self) -> ProcessorSnapshot {
         let mut snapshot = ProcessorSnapshot {
             dp: self.dp.clone(),
@@ -1247,10 +1262,11 @@ impl Processor {
     }
 
     /// Reinstate a checkpoint taken by [`Processor::snapshot`]. The
-    /// processor must
-    /// have been built from the same image and [`ProcessorConfig`] as
-    /// the one that took the snapshot; configuration (specs, caches,
-    /// budget) and any installed bus tap are left untouched.
+    /// processor must have been built from the same image, monitor,
+    /// timing, predecode and block-cache configuration as the one that
+    /// took the snapshot ([`ProcessorSnapshot`] lists which fields may
+    /// differ). Configuration (specs, caches, budget, watchdog, block
+    /// recording) and any installed bus tap are left untouched.
     ///
     /// # Errors
     ///

@@ -8,6 +8,9 @@
 //! and per-instruction stepping, and in post-tamper states where the
 //! cut lands between a bail-out and the detection that follows it.
 //!
+//! A snapshot taken with block recording on also resumes in a
+//! processor with recording off, to the same outcome and statistics.
+//!
 //! The byte form is held to the same standard: `to_bytes` →
 //! `from_bytes` → `to_bytes` reproduces the bytes exactly, and
 //! `from_bytes` over truncated, damaged or arbitrary bytes returns a
@@ -180,6 +183,43 @@ proptest! {
         let fht = trace_fht(&prog.image);
         for config in variants(fht) {
             assert_round_trip(&prog.image, &config, cut, None);
+        }
+    }
+
+    #[test]
+    fn recording_snapshots_restore_into_non_recording_processors(
+        p in arb_program(),
+        cut in 1u64..400,
+    ) {
+        // Block recording is run control, not run state: a snapshot
+        // taken while recording resumes in a processor that does not
+        // record to the same outcome and statistics.
+        let prog = assemble(&p.source).expect("generated program assembles");
+        let fht = trace_fht(&prog.image);
+        for config in variants(fht) {
+            let recording = ProcessorConfig {
+                record_blocks: true,
+                ..config.clone()
+            };
+            let mut donor = Processor::new(&prog.image, recording.clone());
+            if donor.run_to_instret(cut).is_some() {
+                continue;
+            }
+            let snap = donor.snapshot();
+            let mut clone = Processor::new(&prog.image, config.clone());
+            clone.restore(&snap).expect("recording snapshot restores");
+            // A log drained before the snapshot is not in it: a
+            // recording processor restored from it logs only the rest.
+            let drained = donor.take_blocks();
+            let mut resumed = Processor::new(&prog.image, recording);
+            resumed.restore(&donor.snapshot()).expect("drained snapshot restores");
+            prop_assert_eq!(clone.run(), donor.run());
+            prop_assert_eq!(clone.stats(), donor.stats());
+            prop_assert_eq!(clone.block_stats(), donor.block_stats());
+            prop_assert_eq!(resumed.run(), donor.run());
+            prop_assert_eq!(resumed.stats(), donor.stats());
+            prop_assert_eq!(resumed.blocks(), donor.blocks());
+            prop_assert!(drained.len() + donor.blocks().len() > 0);
         }
     }
 
