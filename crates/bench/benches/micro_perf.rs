@@ -3,13 +3,15 @@
 //! batched), FHT generation, IHT lookup latency across table sizes
 //! (plain and way-hinted), one block-end check hashed vs memoised, the
 //! scheduler's slice vs mask vs fused-block issue paths, end-to-end
-//! simulator speed, and the fixed set-up cost of a faulted campaign run
-//! (image load, processor construction, checkpoint restore).
+//! simulator speed, the fixed set-up cost of a faulted campaign run
+//! (image load, processor construction, checkpoint restore), and one
+//! serial fault campaign per injection site.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use cimon_core::hash::{hash_block, hasher_for};
 use cimon_core::{BlockKey, BlockMemo, BlockRecord, Cic, CicConfig, HashAlgoKind, Iht};
+use cimon_faults::{BusFaultMode, Campaign, CampaignConfig, FaultModel, FaultSite};
 use cimon_pipeline::predecode::PredecodedImage;
 use cimon_pipeline::{
     BlockCache, BlockExec, BlockPlan, Predecode, Processor, ProcessorConfig, Timing, TimingConfig,
@@ -345,6 +347,37 @@ fn bench_run_setup(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_campaign(c: &mut Criterion) {
+    // One serial 150-run single-bit campaign on stringsearch (CIC-8,
+    // XOR) per site, configured as the benchmark's `fault-campaign`
+    // configures its seed-1 campaigns. The bus/stored ratio is what a
+    // fetch-bus tap costs a faulted run over a stored-image flip.
+    let w = cimon_workloads::get("stringsearch").expect("exists");
+    let cic = CicConfig::with_entries(8);
+    let fht = cimon_sim::build_fht(&w.image, &SimConfig::default()).unwrap();
+    let (lo, hi) = w.image.text_range();
+    let campaign = Campaign::new(w.image.clone(), cic, fht);
+    let mut group = c.benchmark_group("campaign");
+    for (name, site) in [
+        ("stored_image", FaultSite::StoredImage),
+        ("bus_one_shot", FaultSite::FetchBus(BusFaultMode::OneShot)),
+    ] {
+        let config = CampaignConfig {
+            runs: 150,
+            seed: 1,
+            model: FaultModel::SingleBit,
+            site,
+            targets: (lo..hi).step_by(4).collect(),
+            max_cycles: 5_000_000,
+            max_wall: None,
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| campaign.run_with_workers(&config, 1).unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hash_units,
@@ -354,6 +387,7 @@ criterion_group!(
     bench_timing_issue,
     bench_iht_lookup,
     bench_simulator,
-    bench_run_setup
+    bench_run_setup,
+    bench_campaign
 );
 criterion_main!(benches);

@@ -11,6 +11,15 @@
 //! watchdog ([`CampaignConfig::max_wall`]) are retried once from their
 //! checkpoint and quarantined if they time out again.
 //!
+//! The pool takes the plans longest predicted run first: plans that
+//! restore a checkpoint (below) in descending order of the clean
+//! cycles left after their snapshot, then every other plan in plan
+//! order. A restored run replays up to a millisecond of tail, against
+//! tens of microseconds for most runs from scratch, so a campaign no
+//! longer ends with one worker replaying a long tail while the others
+//! wait. Submission order cannot change a result: chaos injections key
+//! on the absolute plan index and [`CampaignResult`] sums counters.
+//!
 //! # Checkpoint-restart
 //!
 //! Every faulted run shares the same clean prefix: until the first
@@ -291,6 +300,19 @@ impl Checkpoints {
             .iter()
             .filter_map(|f| self.window_of(f.addr))
             .min()
+    }
+
+    /// The clean cycles left after the snapshot a plan restores from,
+    /// which predicts the length of its replayed tail; `None` for a plan
+    /// that runs from scratch or is classified without simulating.
+    fn restored_tail(&self, plan: &FaultPlan) -> Option<u64> {
+        match self.plan_window(plan)? {
+            0 => None,
+            w => Some(
+                self.reference_cycles
+                    .saturating_sub(self.snap_cycles[w - 1]),
+            ),
+        }
     }
 }
 
@@ -701,9 +723,10 @@ impl Campaign {
             });
         }
         let plans = self.plans(config);
-        let offset = range.start;
-        let outcomes = parallel_map_isolated(&plans[range], workers, "campaign", |i, plan| {
-            chaos::maybe_panic("campaign", offset + i);
+        let order = self.submission_order(&plans, range);
+        let outcomes = parallel_map_isolated(&order, workers, "campaign", |_, &i| {
+            chaos::maybe_panic("campaign", i);
+            let plan = &plans[i];
             let first = self.run_one_restarted(plan, config.max_cycles, config.max_wall);
             if first.0 != Outcome::Quarantined {
                 return first;
@@ -731,6 +754,26 @@ impl Campaign {
             }
         }
         Ok(result)
+    }
+
+    /// The absolute indices of the plans in `range`, in the order the
+    /// pool takes them (module docs): restored plans first, longest
+    /// predicted tail first (ties in plan order), then every other plan
+    /// in plan order.
+    fn submission_order(&self, plans: &[FaultPlan], range: std::ops::Range<usize>) -> Vec<usize> {
+        let Some(cp) = &self.checkpoints else {
+            return range.collect();
+        };
+        let mut restored = Vec::new();
+        let mut rest = Vec::with_capacity(range.len());
+        for i in range {
+            match cp.restored_tail(&plans[i]) {
+                Some(tail) => restored.push((tail, i)),
+                None => rest.push(i),
+            }
+        }
+        restored.sort_by_key(|&(tail, i)| (std::cmp::Reverse(tail), i));
+        restored.into_iter().map(|(_, i)| i).chain(rest).collect()
     }
 
     /// Run a full *authorised-patch* campaign on the worker pool: the
@@ -1078,6 +1121,78 @@ mod tests {
         let parallel = c.run_with_workers(&cfg, 8).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial.total(), 40);
+
+        // Three loops run one after another, so flips in the second
+        // and third are first touched in later windows: those plans
+        // restore, with different tails, and go to the pool first.
+        let prog = assemble(
+            "
+            .text
+        main:
+            li    $t0, 12
+        first:
+            addiu $t0, $t0, -1
+            bnez  $t0, first
+            li    $t0, 12
+        second:
+            addu  $t1, $t1, $t0
+            addiu $t0, $t0, -1
+            bnez  $t0, second
+            li    $t0, 12
+        third:
+            xor   $t1, $t1, $t0
+            addiu $t0, $t0, -1
+            bnez  $t0, third
+            move  $a0, $t1
+            li    $v0, 10
+            syscall
+        ",
+        )
+        .unwrap();
+        let (fht, _) = static_fht(&prog.image, &[], HashAlgoKind::Xor, 0).unwrap();
+        let (lo, hi) = prog.image.text_range();
+        let c = Campaign::new(prog.image, CicConfig::default(), fht);
+        let cp = c.checkpoints.as_ref().unwrap();
+        for site in [
+            FaultSite::StoredImage,
+            FaultSite::FetchBus(BusFaultMode::OneShot),
+        ] {
+            let cfg = CampaignConfig {
+                runs: 60,
+                seed: 11,
+                model: FaultModel::SingleBit,
+                site,
+                targets: (lo..hi).step_by(4).collect(),
+                max_cycles: 60_000,
+                max_wall: None,
+            };
+            let plans = c.plans(&cfg);
+            let order = c.submission_order(&plans, 0..cfg.runs);
+            let tails: Vec<u64> = order
+                .iter()
+                .map_while(|&i| cp.restored_tail(&plans[i]))
+                .collect();
+            assert!(tails.windows(2).all(|w| w[0] >= w[1]), "{tails:?}");
+            assert!(tails.first() > tails.last(), "distinct tails: {tails:?}");
+            let rest = &order[tails.len()..];
+            assert!(rest.windows(2).all(|w| w[0] < w[1]), "{rest:?}");
+            assert!(rest.iter().all(|&i| cp.restored_tail(&plans[i]).is_none()));
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..cfg.runs).collect::<Vec<_>>());
+
+            let serial = c.run_with_workers(&cfg, 1).unwrap();
+            assert!(serial.saved_cycles > 0, "{serial:?}");
+            assert_eq!(serial.total(), cfg.runs);
+            for workers in [2, 3] {
+                assert_eq!(c.run_with_workers(&cfg, workers).unwrap(), serial);
+            }
+            let mut merged = CampaignResult::default();
+            for bounds in [0..13, 13..14, 14..41, 41..60] {
+                merged.merge(&c.run_range_with_workers(&cfg, bounds, 3).unwrap());
+            }
+            assert_eq!(merged, serial);
+        }
     }
 
     #[test]

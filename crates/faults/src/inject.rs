@@ -103,11 +103,6 @@ impl PlannedBusTap {
             mode,
         }
     }
-
-    /// Whether every one-shot flip has fired.
-    pub fn exhausted(&self) -> bool {
-        self.flips.iter().all(|(_, fired)| *fired)
-    }
 }
 
 impl BusTap for PlannedBusTap {
@@ -128,6 +123,14 @@ impl BusTap for PlannedBusTap {
             }
         }
         out
+    }
+
+    /// No flip in `[start, end]` can still fire: a stuck-at flip fires
+    /// on every fetch of its address, a one-shot flip until it has.
+    fn passes_through(&self, start: u32, end: u32) -> bool {
+        !self.flips.iter().any(|(flip, fired)| {
+            (start..=end).contains(&flip.addr) && (self.mode == BusFaultMode::StuckAt || !*fired)
+        })
     }
 }
 
@@ -162,9 +165,9 @@ mod tests {
     #[test]
     fn oneshot_tap_fires_once() {
         let mut tap = PlannedBusTap::new(vec![BitFlip::new(0x100, 0)], BusFaultMode::OneShot);
-        assert!(!tap.exhausted());
+        assert!(!tap.passes_through(0x100, 0x100));
         assert_eq!(tap.on_fetch(0x100, 0), 1);
-        assert!(tap.exhausted());
+        assert!(tap.passes_through(0x100, 0x100));
         assert_eq!(tap.on_fetch(0x100, 0), 0);
         assert_eq!(tap.on_fetch(0x200, 0), 0);
     }
@@ -174,7 +177,51 @@ mod tests {
         let mut tap = PlannedBusTap::new(vec![BitFlip::new(0x100, 4)], BusFaultMode::StuckAt);
         assert_eq!(tap.on_fetch(0x100, 0), 16);
         assert_eq!(tap.on_fetch(0x100, 0), 16);
-        assert!(!tap.exhausted());
+        assert!(!tap.passes_through(0x100, 0x100));
+    }
+
+    #[test]
+    fn pass_through_ranges_are_inclusive_at_both_edges() {
+        for mode in [BusFaultMode::OneShot, BusFaultMode::StuckAt] {
+            let tap = PlannedBusTap::new(vec![BitFlip::new(0x100, 3)], mode);
+            // The flip on either edge of the range blocks it.
+            assert!(!tap.passes_through(0x100, 0x10c), "{mode:?}");
+            assert!(!tap.passes_through(0xf4, 0x100), "{mode:?}");
+            assert!(!tap.passes_through(0x100, 0x100), "{mode:?}");
+            // One word short on either side does not.
+            assert!(tap.passes_through(0x104, 0x10c), "{mode:?}");
+            assert!(tap.passes_through(0xf4, 0xfc), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_fired_one_shot_passes_but_its_unfired_sibling_does_not() {
+        let mut tap = PlannedBusTap::new(
+            vec![BitFlip::new(0x100, 0), BitFlip::new(0x108, 1)],
+            BusFaultMode::OneShot,
+        );
+        assert!(!tap.passes_through(0x100, 0x104));
+        assert_eq!(tap.on_fetch(0x100, 0), 1);
+        assert!(tap.passes_through(0x100, 0x104));
+        assert!(!tap.passes_through(0x100, 0x108));
+        assert_eq!(tap.on_fetch(0x108, 0), 2);
+        assert!(tap.passes_through(0x100, 0x108));
+        assert!(tap.passes_through(0, u32::MAX));
+    }
+
+    #[test]
+    fn stuckat_never_passes_its_flips_however_often_they_fire() {
+        let mut tap = PlannedBusTap::new(
+            vec![BitFlip::new(0x100, 0), BitFlip::new(0x200, 1)],
+            BusFaultMode::StuckAt,
+        );
+        for _ in 0..3 {
+            tap.on_fetch(0x100, 0);
+            tap.on_fetch(0x200, 0);
+        }
+        assert!(!tap.passes_through(0x100, 0x100));
+        assert!(!tap.passes_through(0x1fc, 0x200));
+        assert!(tap.passes_through(0x104, 0x1fc));
     }
 
     #[test]

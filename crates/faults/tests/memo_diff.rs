@@ -1,12 +1,15 @@
-//! Differential oracle for the memoised block check.
+//! Differential oracle for the memoised block check and the tap-aware
+//! block validation.
 //!
 //! On the planned block path, a block entered with the hash unit at
 //! reset replays a per-slot memoised digest and probes its IHT way hint
 //! first instead of hashing its words and scanning the table. Every
 //! path where the fetched words can differ from the cached ones —
-//! stored-image tampering, fetch-bus fault taps, per-instruction
-//! stepping — keeps per-word hashing and full lookups, and per-
-//! instruction stepping (`BlockExec::Off`) is the oracle.
+//! stored-image tampering, a fetch-bus tap that can still fire on the
+//! block, per-instruction stepping — keeps per-word hashing and full
+//! lookups, and per-instruction stepping (`BlockExec::Off`) is the
+//! oracle. A bus tap that passes a block's span through unchanged
+//! (`BusTap::passes_through`) lets that block take the validated path.
 //!
 //! For random corpus programs under every hash algorithm (random
 //! seeds), every refill policy, IHT sizes from 1 to 256 entries, and no
@@ -15,14 +18,20 @@
 //! statistics, checker and table statistics, LRU order, and snapshot
 //! bytes — both at a mid-run cut and at the end, with the block run
 //! continued from its cut snapshot in a fresh processor whose memos
-//! start empty.
+//! start empty. A second property does the same for fetch-bus plans:
+//! one-shot and stuck-at taps with one flip, or two flips in one
+//! executed block or in two different ones, the one-shot tap's fired
+//! state carried across the cut.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use cimon_core::{CicConfig, HashAlgoKind};
 use cimon_faults::{BitFlip, BusFaultMode, PlannedBusTap};
 use cimon_hashgen::static_fht;
-use cimon_mem::ProgramImage;
+use cimon_mem::{BusTap, ProgramImage};
 use cimon_os::RefillPolicyKind;
 use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, ProcessorSnapshot};
 use cimon_workloads::corpus::{generate, CorpusSpec};
@@ -40,11 +49,11 @@ const STEPPED_DISPATCH_TAIL: usize = 4 * 8 + 8;
 /// Bytes of the fetch-stage scratch registers leading every snapshot.
 const FETCH_SCRATCH_BYTES: usize = 3 * 4;
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum Fault {
     None,
     Stored(BitFlip),
-    Bus(BitFlip),
+    Bus(Vec<BitFlip>, BusFaultMode),
 }
 
 fn config(
@@ -62,14 +71,28 @@ fn config(
     c
 }
 
-fn inject(cpu: &mut Processor, fault: Fault) {
+fn inject(cpu: &mut Processor, fault: &Fault) {
     match fault {
         Fault::None => {}
         Fault::Stored(flip) => flip.apply_to_memory(cpu.mem_mut()),
-        Fault::Bus(flip) => cpu.set_bus_tap(Box::new(PlannedBusTap::new(
-            vec![flip],
-            BusFaultMode::StuckAt,
-        ))),
+        Fault::Bus(flips, mode) => {
+            cpu.set_bus_tap(Box::new(PlannedBusTap::new(flips.clone(), *mode)));
+        }
+    }
+}
+
+/// A [`PlannedBusTap`] the test keeps a handle on, so a run continued
+/// from a snapshot can take over the tap's state (which flips already
+/// fired) at the cut.
+struct SharedTap(Rc<RefCell<PlannedBusTap>>);
+
+impl BusTap for SharedTap {
+    fn on_fetch(&mut self, addr: u32, word: u32) -> u32 {
+        self.0.borrow_mut().on_fetch(addr, word)
+    }
+
+    fn passes_through(&self, start: u32, end: u32) -> bool {
+        self.0.borrow().passes_through(start, end)
     }
 }
 
@@ -140,14 +163,14 @@ proptest! {
         let fault = match fault_kind {
             0 => Fault::None,
             1 => Fault::Stored(BitFlip::new(addr, bit)),
-            _ => Fault::Bus(BitFlip::new(addr, bit)),
+            _ => Fault::Bus(vec![BitFlip::new(addr, bit)], BusFaultMode::StuckAt),
         };
 
         let block_cfg = config(cic, policy, &image, true);
         let mut block = Processor::new(&image, block_cfg.clone());
         let mut stepped = Processor::new(&image, config(cic, policy, &image, false));
-        inject(&mut block, fault);
-        inject(&mut stepped, fault);
+        inject(&mut block, &fault);
+        inject(&mut stepped, &fault);
 
         // Mid-run cut: block dispatch stops on the first block boundary
         // at or past the target; stepping stops on exactly that count
@@ -166,8 +189,8 @@ proptest! {
         // no state to carry) and finish both.
         let bytes = block.snapshot().to_bytes();
         let mut resumed = Processor::new(&image, block_cfg);
-        if let Fault::Bus(_) = fault {
-            inject(&mut resumed, fault);
+        if let Fault::Bus(..) = fault {
+            inject(&mut resumed, &fault);
         }
         let snapshot = ProcessorSnapshot::from_bytes(&bytes).expect("own bytes decode");
         resumed.restore(&snapshot).expect("own snapshot restores");
@@ -176,4 +199,155 @@ proptest! {
         prop_assert_eq!(out_block, out_stepped);
         assert_same_state(&resumed, &stepped, "end");
     }
+    #[test]
+    fn bus_fault_taps_match_per_instruction_stepping(
+        seed in any::<u64>(),
+        target in 1_500u64..8_000,
+        algo in 0usize..5,
+        iht_entries in prop::sample::select(vec![1usize, 8, 32]),
+        one_shot in any::<bool>(),
+        shape in 0usize..3,
+        first_block in any::<u64>(),
+        second_block in any::<u64>(),
+        offsets in (any::<u64>(), any::<u64>()),
+        bits in (0u8..32, 0u8..32),
+        cut_percent in 0u64..100,
+    ) {
+        let program = generate(&CorpusSpec { seed, target_dynamic_instructions: target });
+        let image = program.assemble().image;
+        let cic = CicConfig {
+            iht_entries,
+            hash_algo: HashAlgoKind::ALL[algo],
+            hash_seed: 0,
+        };
+        let policy = RefillPolicyKind::ReplaceHalfLru;
+
+        // Place the flips in blocks the clean run executes, so that the
+        // taps fire (and one-shot flips are spent) mid-run.
+        let mut reference = Processor::new(
+            &image,
+            ProcessorConfig { record_blocks: true, ..config(cic, policy, &image, false) },
+        );
+        reference.run();
+        let mut executed: Vec<(u32, u32)> =
+            reference.blocks().iter().map(|e| (e.key.start, e.key.end)).collect();
+        executed.sort_unstable();
+        executed.dedup();
+        assert!(!executed.is_empty(), "every run ends a block");
+        let pick = |block: u64| executed[(block % executed.len() as u64) as usize];
+        let word_in = |(start, end): (u32, u32), offset: u64| {
+            start + 4 * (offset % u64::from((end - start) / 4 + 1)) as u32
+        };
+        let a = pick(first_block);
+        let first = BitFlip::new(word_in(a, offsets.0), bits.0);
+        let flips = match shape {
+            // One flip.
+            0 => vec![first],
+            // Two flips in one executed block.
+            1 => vec![first, BitFlip::new(word_in(a, offsets.1), bits.1)],
+            // Two flips in (usually) different executed blocks.
+            _ => vec![first, BitFlip::new(word_in(pick(second_block), offsets.1), bits.1)],
+        };
+        let mode = if one_shot { BusFaultMode::OneShot } else { BusFaultMode::StuckAt };
+
+        let block_cfg = config(cic, policy, &image, true);
+        let mut block = Processor::new(&image, block_cfg.clone());
+        let mut stepped = Processor::new(&image, config(cic, policy, &image, false));
+        let tap = Rc::new(RefCell::new(PlannedBusTap::new(flips.clone(), mode)));
+        block.set_bus_tap(Box::new(SharedTap(tap.clone())));
+        inject(&mut stepped, &Fault::Bus(flips, mode));
+
+        let cut = target * cut_percent / 100;
+        let block_done = block.run_to_instret(cut);
+        let stepped_done = match block_done {
+            Some(_) => Some(stepped.run()),
+            None => stepped.run_to_instret(block.instret()),
+        };
+        prop_assert_eq!(block_done, stepped_done);
+        assert_same_state(&block, &stepped, "cut");
+
+        // Continue in a fresh processor whose tap starts from the state
+        // the block run's tap reached at the cut.
+        let bytes = block.snapshot().to_bytes();
+        let mut resumed = Processor::new(&image, block_cfg);
+        resumed.set_bus_tap(Box::new(tap.borrow().clone()));
+        let snapshot = ProcessorSnapshot::from_bytes(&bytes).expect("own bytes decode");
+        resumed.restore(&snapshot).expect("own snapshot restores");
+        let out_block = resumed.run();
+        let out_stepped = stepped.run();
+        prop_assert_eq!(out_block, out_stepped);
+        assert_same_state(&resumed, &stepped, "end");
+    }
+}
+
+/// An identity tap that counts the fetches it sees and passes every
+/// span through.
+struct CountingTap(Rc<RefCell<u64>>);
+
+impl BusTap for CountingTap {
+    fn on_fetch(&mut self, _addr: u32, word: u32) -> u32 {
+        *self.0.borrow_mut() += 1;
+        word
+    }
+
+    fn passes_through(&self, _start: u32, _end: u32) -> bool {
+        true
+    }
+}
+
+/// The same counting tap, keeping the default `passes_through`.
+struct KeepsDefault(CountingTap);
+
+impl BusTap for KeepsDefault {
+    fn on_fetch(&mut self, addr: u32, word: u32) -> u32 {
+        self.0.on_fetch(addr, word)
+    }
+}
+
+/// A tap that keeps the default [`BusTap::passes_through`] sees every
+/// fetch under block dispatch, exactly as under per-instruction
+/// stepping; one that passes its spans through is skipped by the
+/// validated block path.
+#[test]
+fn only_taps_that_pass_a_span_skip_its_fetches() {
+    let program = generate(&CorpusSpec {
+        seed: 3,
+        target_dynamic_instructions: 4_000,
+    });
+    let image = program.assemble().image;
+    let cic = CicConfig {
+        iht_entries: 8,
+        hash_algo: HashAlgoKind::Xor,
+        hash_seed: 0,
+    };
+    let policy = RefillPolicyKind::ReplaceHalfLru;
+    let fetches_seen = |on: bool, passes: bool| {
+        let seen = Rc::new(RefCell::new(0));
+        let mut cpu = Processor::new(&image, config(cic, policy, &image, on));
+        let tap = CountingTap(seen.clone());
+        if passes {
+            cpu.set_bus_tap(Box::new(tap));
+        } else {
+            cpu.set_bus_tap(Box::new(KeepsDefault(tap)));
+        }
+        let outcome = cpu.run();
+        let seen = *seen.borrow();
+        (outcome, cpu.stats(), seen)
+    };
+    let stepped = fetches_seen(false, false);
+    assert!(
+        stepped.2 >= stepped.1.instructions,
+        "every retired word is fetched"
+    );
+    assert_eq!(fetches_seen(true, false), stepped, "default answer");
+    let passing = fetches_seen(true, true);
+    assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
+    // Blocks with a store before their terminator fetch per word on
+    // any bus, so only the others skip the tap.
+    assert!(
+        passing.2 < stepped.2,
+        "a passing tap must leave bulk-validated blocks to the fast path ({} of {})",
+        passing.2,
+        stepped.2
+    );
 }

@@ -30,6 +30,20 @@ pub trait BusTap {
     /// Called on every instruction fetch with the address and the word
     /// read from memory; the returned word is what the processor sees.
     fn on_fetch(&mut self, addr: u32, word: u32) -> u32;
+
+    /// Whether fetching every word of the inclusive word-address range
+    /// `[start, end]`, in any order and any number of times, returns
+    /// memory's word each time and leaves this tap's state unchanged.
+    ///
+    /// `true` lets block dispatch validate the range against memory in
+    /// bulk and skip [`BusTap::on_fetch`] for it. The default `false`
+    /// keeps every fetch going through the tap, which is always exact;
+    /// a tap that counts fetches, or corrupts by anything but the
+    /// address (a clock, a fetch count), must keep it.
+    fn passes_through(&self, start: u32, end: u32) -> bool {
+        let _ = (start, end);
+        false
+    }
 }
 
 /// The identity tap: the processor sees exactly what memory holds.
@@ -39,6 +53,10 @@ pub struct CleanBus;
 impl BusTap for CleanBus {
     fn on_fetch(&mut self, _addr: u32, word: u32) -> u32 {
         word
+    }
+
+    fn passes_through(&self, _start: u32, _end: u32) -> bool {
+        true
     }
 }
 
@@ -83,11 +101,17 @@ impl FetchBus {
         self.tap = None;
     }
 
-    /// Whether a fault tap is installed. Block-granular dispatch checks
-    /// this to decide between bulk word validation (clean bus) and
-    /// per-word fetches that keep stateful taps firing in fetch order.
-    pub fn has_tap(&self) -> bool {
-        self.tap.is_some()
+    /// Whether fetching every word of the inclusive word-address range
+    /// `[start, end]` delivers memory's word and leaves the bus's tap
+    /// state unchanged: always on a clean bus, otherwise the tap's
+    /// [`BusTap::passes_through`] answer. Block-granular dispatch
+    /// validates a block in bulk only over a transparent span, and
+    /// otherwise fetches per word so the tap fires in fetch order.
+    pub fn transparent_over(&self, start: u32, end: u32) -> bool {
+        match &self.tap {
+            None => true,
+            Some(tap) => tap.passes_through(start, end),
+        }
     }
 
     /// Account `n` instruction fetches served in bulk. The block
@@ -121,8 +145,10 @@ impl FetchBus {
     }
 
     /// Reinstate the fetch counter from a snapshot. Taps are not part
-    /// of a snapshot — a restored run re-installs its own tap, and
-    /// positional taps key off the restored count.
+    /// of a snapshot: a restored run re-installs its own. The count
+    /// includes fetches served in bulk ([`FetchBus::note_fetches`]),
+    /// which no tap sees, so a tap keyed on fetch count must keep the
+    /// default [`BusTap::passes_through`] answer.
     pub fn set_fetch_count(&mut self, n: u64) {
         self.fetches = n;
     }
@@ -172,11 +198,20 @@ mod tests {
     #[test]
     fn tap_presence_is_observable() {
         let mut bus = FetchBus::new();
-        assert!(!bus.has_tap());
+        assert!(bus.transparent_over(0x100, 0x10c));
         bus.set_tap(Box::new(FlipBit31));
-        assert!(bus.has_tap());
+        assert!(!bus.transparent_over(0x100, 0x10c));
         bus.clear_tap();
-        assert!(!bus.has_tap());
+        assert!(bus.transparent_over(0x100, 0x10c));
+    }
+
+    #[test]
+    fn taps_pass_nothing_unless_they_say_so() {
+        // `FlipBit31` keeps the default answer; `CleanBus` overrides it.
+        assert!(!FlipBit31.passes_through(0x100, 0x10c));
+        let mut bus = FetchBus::new();
+        bus.set_tap(Box::new(CleanBus));
+        assert!(bus.transparent_over(0x100, 0x10c));
     }
 
     #[test]

@@ -206,11 +206,16 @@ impl ProcessorSpec {
     ///
     /// Returns the first [`SpecError`] found.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let mut programs: Vec<&MicroProgram> = vec![&self.if_program];
-        if let Some(p) = &self.id_check_program {
-            programs.push(p);
-        }
-        for p in programs {
+        let has_hash_fu = self
+            .resources
+            .iter()
+            .any(|r| matches!(r, Resource::HashFu(_)));
+        let has_checker = self
+            .resources
+            .iter()
+            .any(|r| matches!(r, Resource::Iht { .. }))
+            && self.resources.contains(&Resource::Comparator);
+        for p in std::iter::once(&self.if_program).chain(&self.id_check_program) {
             if let Some(w) = p.free_wires().first() {
                 return Err(SpecError::UndrivenWire {
                     program: p.name.clone(),
@@ -218,42 +223,32 @@ impl ProcessorSpec {
                 });
             }
             for op in &p.ops {
-                let needed: Option<(bool, String)> = match op {
+                // The description of a missing resource, formatted only
+                // when one is missing.
+                let missing: Option<String> = match op {
                     MicroOp::Read { reg, .. }
                     | MicroOp::Write { reg, .. }
                     | MicroOp::Reset { reg } => {
                         let res = reg_resource(*reg);
-                        Some((self.resources.contains(&res), format!("{res:?}")))
+                        (!self.resources.contains(&res)).then(|| format!("{res:?}"))
                     }
                     MicroOp::FetchIMem { .. } => {
-                        Some((self.resources.contains(&Resource::IMau), "IMau".to_string()))
+                        (!self.resources.contains(&Resource::IMau)).then(|| "IMau".to_string())
                     }
-                    MicroOp::HashOp { .. } => Some((
-                        self.resources
-                            .iter()
-                            .any(|r| matches!(r, Resource::HashFu(_))),
-                        "HashFu".to_string(),
-                    )),
-                    MicroOp::IhtLookup { .. } => Some((
-                        self.resources
-                            .iter()
-                            .any(|r| matches!(r, Resource::Iht { .. }))
-                            && self.resources.contains(&Resource::Comparator),
-                        "Iht + Comparator".to_string(),
-                    )),
-                    MicroOp::IncPc => Some((
-                        self.resources.contains(&Resource::CpcReg),
-                        "CpcReg".to_string(),
-                    )),
+                    MicroOp::HashOp { .. } => (!has_hash_fu).then(|| "HashFu".to_string()),
+                    MicroOp::IhtLookup { .. } => {
+                        (!has_checker).then(|| "Iht + Comparator".to_string())
+                    }
+                    MicroOp::IncPc => {
+                        (!self.resources.contains(&Resource::CpcReg)).then(|| "CpcReg".to_string())
+                    }
                     MicroOp::AndNot { .. } | MicroOp::RaiseException { .. } => None,
                 };
-                if let Some((present, resource)) = needed {
-                    if !present {
-                        return Err(SpecError::MissingResource {
-                            program: p.name.clone(),
-                            resource,
-                        });
-                    }
+                if let Some(resource) = missing {
+                    return Err(SpecError::MissingResource {
+                        program: p.name.clone(),
+                        resource,
+                    });
                 }
             }
         }
@@ -462,6 +457,61 @@ mod tests {
         match spec.validate().unwrap_err() {
             SpecError::MissingResource { resource, .. } => assert!(resource.contains("HashFu")),
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn missing_resource_messages_are_exact() {
+        let spec = embed_monitor(&baseline_spec(), &MonitorParams::default());
+        let without = |drop: fn(&Resource) -> bool| {
+            let mut s = spec.clone();
+            s.resources.retain(|r| !drop(r));
+            s.validate().unwrap_err()
+        };
+        let err = without(|r| matches!(r, Resource::HashFu(_)));
+        assert_eq!(
+            err,
+            SpecError::MissingResource {
+                program: "IF (all instructions, monitored)".to_string(),
+                resource: "HashFu".to_string(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "program `IF (all instructions, monitored)` requires missing resource HashFu"
+        );
+        assert_eq!(
+            without(|r| *r == Resource::StaReg).to_string(),
+            "program `IF (all instructions, monitored)` requires missing resource StaReg"
+        );
+        assert_eq!(
+            without(|r| *r == Resource::Comparator).to_string(),
+            "program `ID (flow-control instructions, monitored)` requires missing resource \
+             Iht + Comparator"
+        );
+    }
+
+    #[test]
+    fn stage_programs_do_not_depend_on_monitor_params() {
+        // Processors lower the monitored stage programs once and share
+        // them across every parameter set: a program that came to
+        // depend on the parameters must fail here.
+        let base = baseline_spec();
+        let reference = embed_monitor(&base, &MonitorParams::default());
+        for hash_algo in HashAlgoKind::ALL {
+            for iht_entries in [1, 8, 4096] {
+                let params = MonitorParams {
+                    iht_entries,
+                    hash_algo,
+                };
+                let spec = embed_monitor(&base, &params);
+                spec.validate().unwrap();
+                assert_eq!(spec.if_program, reference.if_program, "{params:?}");
+                assert_eq!(
+                    spec.id_check_program, reference.id_check_program,
+                    "{params:?}"
+                );
+            }
         }
     }
 

@@ -13,9 +13,11 @@
 //!
 //! **The cache can never mask an attack.** Like the predecode plane it
 //! is built on, the block cache is validated against the words the
-//! memory system actually holds at dispatch time: a clean bus lets a
-//! whole block be checked with one bulk comparison, while an installed
-//! bus tap (or a failed bulk comparison) drops to per-word fetches
+//! memory system actually holds at dispatch time: a clean bus, or a
+//! tap that passes the block's span through unchanged
+//! ([`BusTap::passes_through`](cimon_mem::BusTap::passes_through)),
+//! lets a whole block be checked with one bulk comparison, while any
+//! other bus tap (or a failed bulk comparison) drops to per-word fetches
 //! through the real [`FetchBus`](cimon_mem::FetchBus). Any divergence
 //! between a delivered word and its predecoded form bails out to the
 //! per-instruction path mid-block, reproducing the unoptimised

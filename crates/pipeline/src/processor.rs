@@ -1,7 +1,7 @@
 //! The processor: functional execution, monitoring integration, and
 //! cycle accounting.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cimon_core::hash::{BlockHasher, HashAlgo};
@@ -368,6 +368,36 @@ type Stage = ThreadedProgram<EnvState>;
 
 fn lower(program: &MicroProgram) -> Stage {
     ThreadedProgram::bind(&CompiledProgram::compile(program))
+}
+
+/// The IF program and the optional ID-check program of a spec, lowered.
+struct Stages {
+    fetch: Stage,
+    check: Option<Stage>,
+}
+
+impl Stages {
+    /// The lowered stage programs of `spec`, built once per process for
+    /// each of the two spec families and shared by every processor
+    /// after that. [`embed_monitor`] varies only a spec's name, monitor
+    /// parameters and resources with its [`MonitorParams`], never its
+    /// programs (`cimon-microop` pins this in a test), so one lowering
+    /// serves every monitored configuration.
+    ///
+    /// [`MonitorParams`]: cimon_microop::MonitorParams
+    fn shared(spec: &ProcessorSpec) -> &'static Stages {
+        static BASELINE: OnceLock<Stages> = OnceLock::new();
+        static MONITORED: OnceLock<Stages> = OnceLock::new();
+        let cell = if spec.is_monitored() {
+            &MONITORED
+        } else {
+            &BASELINE
+        };
+        cell.get_or_init(|| Stages {
+            fetch: lower(&spec.if_program),
+            check: spec.id_check_program.as_ref().map(lower),
+        })
+    }
 }
 
 /// Execute one stage micro-program against the real functional units.
@@ -953,10 +983,9 @@ impl std::fmt::Debug for ProcessorSnapshot {
 /// The single-issue 6-stage processor.
 pub struct Processor {
     spec: ProcessorSpec,
-    /// The stage programs lowered to indexed + threaded form at
-    /// construction.
-    stage_if: Stage,
-    stage_check: Option<Stage>,
+    /// The spec's stage programs in indexed + threaded form, shared
+    /// process-wide ([`Stages::shared`]).
+    stages: &'static Stages,
     /// Wire-slot scratch shared by both stage programs, reused every
     /// cycle.
     slots: Vec<u32>,
@@ -1050,11 +1079,11 @@ impl Processor {
         let mut regs = RegFile::new();
         regs.write(Reg::SP, cimon_mem::image::STACK_TOP);
         regs.write(Reg::GP, image.data.base);
-        let stage_if = lower(&spec.if_program);
-        let stage_check = spec.id_check_program.as_ref().map(lower);
-        let slot_count = stage_if
+        let stages = Stages::shared(&spec);
+        let slot_count = stages
+            .fetch
             .slot_count()
-            .max(stage_check.as_ref().map_or(0, Stage::slot_count));
+            .max(stages.check.as_ref().map_or(0, Stage::slot_count));
         let predecoded = match &config.predecode {
             Predecode::Auto => Some(Arc::new(PredecodedImage::new(image))),
             Predecode::Shared(p) => Some(p.clone()),
@@ -1089,8 +1118,7 @@ impl Processor {
         };
         Processor {
             spec,
-            stage_if,
-            stage_check,
+            stages,
             slots: vec![0; slot_count],
             predecoded,
             block_cache,
@@ -1376,7 +1404,7 @@ impl Processor {
 
         // ---- IF: run the spec's micro-program (fetch, latch, hash). ----
         run_stage(
-            &self.stage_if,
+            &self.stages.fetch,
             &self.spec,
             true,
             &mut self.dp,
@@ -1420,7 +1448,7 @@ impl Processor {
         // interlocks (see resolve_pending below).
         let mut pending = false;
         if entry.is_control_flow {
-            if let Some(stage) = &self.stage_check {
+            if let Some(stage) = &self.stages.check {
                 run_stage(
                     stage,
                     &self.spec,
@@ -1525,16 +1553,19 @@ impl Processor {
         };
         let block = cache.block_at_slot(slot);
 
-        // Bulk validation: with a clean bus and no mid-block store, one
-        // comparison against the dense text region proves every word
-        // the per-word path would fetch. Ineligibility (tap installed,
-        // self-modification possible, block outside the dense region)
-        // or failure (tampering) selects per-word fetching, which is
-        // exact in all cases and bails out at the diverging word.
-        // A comparison that passed stays proven while the memory's
-        // dense-region epoch is unchanged (no write has landed in the
-        // text), so hot re-dispatches skip the bytes entirely.
-        let bulk = !self.env.bus.has_tap() && block.bulk_ok && {
+        // Bulk validation: with no mid-block store, and a bus that is
+        // clean or whose tap passes the block's span through unchanged
+        // (`BusTap::passes_through`), one comparison against the dense
+        // text region proves every word the per-word path would fetch.
+        // Ineligibility (a tap that could alter or count a word of the
+        // block, self-modification possible, block outside the dense
+        // region) or failure (tampering) selects per-word fetching,
+        // which is exact in all cases and bails out at the diverging
+        // word. A comparison that passed stays proven while the
+        // memory's dense-region epoch is unchanged (no write has landed
+        // in the text), so hot re-dispatches skip the bytes entirely.
+        let last = pc.wrapping_add(block.bytes.len() as u32 - INSTR_BYTES);
+        let bulk = block.bulk_ok && self.env.bus.transparent_over(pc, last) && {
             let epoch = self.env.mem.dense_epoch();
             self.validated[slot as usize] == epoch || {
                 let ok = match self.env.mem.dense_region() {

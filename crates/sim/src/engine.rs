@@ -551,6 +551,10 @@ where
 /// slot (tagged with `site`) while every other item completes normally.
 /// The engine layers build their poisoned-row / quarantine degradation
 /// on this.
+///
+/// The calling thread is one of the `workers`: it claims items from
+/// the same cursor as the `workers - 1` threads it spawns, so an item
+/// may run (and panic, isolated like any other) on the caller.
 pub fn parallel_map_isolated<T, U, F>(
     items: &[T],
     workers: usize,
@@ -577,20 +581,24 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<U, SimError>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let value = run_one(i, &items[i]);
-                // A sibling worker's panic is caught above, so the only
-                // way this lock is poisoned is a panic in `Some(value)`
-                // itself — a zero-sized write; recover the guard.
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
+        let value = run_one(i, &items[i]);
+        // A sibling worker's panic is caught above, so the only
+        // way this lock is poisoned is a panic in `Some(value)`
+        // itself — a zero-sized write; recover the guard.
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+    };
+    // The calling thread is one of the `workers`: it would otherwise
+    // only sleep in the join.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

@@ -69,3 +69,52 @@ proptest! {
         }
     }
 }
+
+/// The calling thread is one of the pool's workers: an item that
+/// panics on it is isolated in its own slot, like one on a spawned
+/// worker, and every other slot keeps its order.
+#[test]
+fn a_panic_on_the_calling_thread_is_isolated_with_its_index() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    let caller = std::thread::current().id();
+    let items: Vec<u64> = (0..16).collect();
+    // Spawned workers hold their first item until the caller has
+    // claimed one, so the caller is certain to run an item.
+    let caller_claimed = AtomicBool::new(false);
+    let panicked_at = AtomicUsize::new(usize::MAX);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let rows = parallel_map_isolated(&items, 2, "caller", |i, &x| {
+        if std::thread::current().id() == caller {
+            if !caller_claimed.swap(true, Ordering::SeqCst) {
+                panicked_at.store(i, Ordering::SeqCst);
+                panic!("injected panic on the caller at {i}");
+            }
+        } else {
+            while !caller_claimed.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        x * 10
+    });
+    let at = panicked_at.load(Ordering::SeqCst);
+    assert_ne!(at, usize::MAX, "no item ran on the calling thread");
+    assert_eq!(rows.len(), items.len());
+    for (i, row) in rows.iter().enumerate() {
+        if i == at {
+            match row {
+                Err(SimError::WorkerPanic { site, message }) => {
+                    assert_eq!(*site, "caller");
+                    assert!(
+                        message.contains(&format!("on the caller at {i}")),
+                        "{message}"
+                    );
+                }
+                other => panic!("slot {i} should be poisoned, got {other:?}"),
+            }
+        } else {
+            assert_eq!(row.as_ref().ok(), Some(&(items[i] * 10)), "slot {i}");
+        }
+    }
+}
