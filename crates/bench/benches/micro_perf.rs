@@ -3,7 +3,8 @@
 //! batched), FHT generation, IHT lookup latency across table sizes
 //! (plain and way-hinted), one block-end check hashed vs memoised, the
 //! scheduler's slice vs mask vs fused-block issue paths, end-to-end
-//! simulator speed, the fixed set-up cost of a faulted campaign run
+//! simulator speed, the block-dispatch loop per simulated instruction
+//! on a long corpus program, the fixed set-up cost of a faulted campaign run
 //! (image load, processor construction, checkpoint restore), and one
 //! serial fault campaign per injection site.
 
@@ -311,6 +312,37 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_block_dispatch(c: &mut Criterion) {
+    // The block-dispatch loop on its own: one 1M-instruction corpus
+    // program (seed 1, as the benchmark's `long-run` runs it) per
+    // iteration, baseline and CIC-8. Its blocks carry data stores and
+    // same-value stores into the text, so every block path runs. The
+    // throughput is per retired instruction: ns/elem is the cost of one
+    // simulated instruction.
+    let image = cimon_workloads::corpus::large(1).assemble().image;
+    let fht = std::sync::Arc::new(cimon_sim::build_fht(&image, &SimConfig::default()).unwrap());
+    let mut group = c.benchmark_group("block_dispatch");
+    group.sample_size(10);
+    for (name, config) in [
+        ("baseline", ProcessorConfig::baseline()),
+        (
+            "cic8",
+            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
+        ),
+    ] {
+        let mut cpu = Processor::new(&image, config.clone());
+        cpu.run();
+        group.throughput(Throughput::Elements(cpu.instret()));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut cpu = Processor::new(&image, config.clone());
+                std::hint::black_box(cpu.run())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_run_setup(c: &mut Criterion) {
     // The fixed cost of one faulted campaign run on stringsearch: load
     // the image, build a monitored processor over shared caches (as
@@ -387,6 +419,7 @@ criterion_group!(
     bench_timing_issue,
     bench_iht_lookup,
     bench_simulator,
+    bench_block_dispatch,
     bench_run_setup,
     bench_campaign
 );

@@ -153,10 +153,16 @@ impl Iht {
     pub fn lru_order_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(0..self.slots.len());
-        out.sort_unstable_by_key(|&i| match &self.slots[i] {
-            None => (0u8, 0u64, i),
-            Some(s) => (1, s.stamp, i),
-        });
+        out.sort_unstable_by_key(|&i| self.recency_key(i));
+    }
+
+    /// Slot `i`'s position in the LRU order: invalid slots first, then
+    /// valid ones stalest first, ties broken by index.
+    fn recency_key(&self, i: usize) -> (bool, u64, usize) {
+        match &self.slots[i] {
+            None => (false, 0, i),
+            Some(s) => (true, s.stamp, i),
+        }
     }
 
     /// Overwrite slot `index` with `record`, marking it most recent.
@@ -184,7 +190,11 @@ impl Iht {
             slot.stamp = stamp;
             return None;
         }
-        let victim_idx = self.lru_order()[0];
+        // The head of `lru_order`, found by one scan instead of a sort:
+        // every key is distinct, so the minimum is unique.
+        let victim_idx = (0..self.slots.len())
+            .min_by_key(|&i| self.recency_key(i))
+            .unwrap_or_else(|| unreachable!("an IHT has at least one slot"));
         let evicted = self.slots[victim_idx].map(|s| s.record);
         self.slots[victim_idx] = Some(Slot { record, stamp });
         evicted

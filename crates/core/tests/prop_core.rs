@@ -126,6 +126,44 @@ proptest! {
         }
     }
 
+    /// `insert_lru` of a key not in the table takes the head of
+    /// `lru_order` as its victim, for any table state: holes left by
+    /// `replace_at`, stale and refreshed entries, any capacity. The new
+    /// entry lands in that slot as the most recent, and the evicted
+    /// record is the one the slot held.
+    #[test]
+    fn insert_lru_evicts_the_head_of_lru_order(
+        cap in 1usize..9,
+        ops in prop::collection::vec(arb_op(), 0..60),
+        places in prop::collection::vec((0usize..9, 0u8..12), 0..6),
+        fresh in 12u8..24,
+    ) {
+        let mut iht = Iht::new(cap);
+        for (index, start) in places {
+            iht.replace_at(index % cap, BlockRecord { key: key(start), hash: 0 });
+        }
+        for op in ops {
+            match op {
+                Op::Lookup { start, hash } => {
+                    iht.lookup(key(start), hash as u32);
+                }
+                Op::Insert { start, hash } => {
+                    iht.insert_lru(BlockRecord { key: key(start), hash: hash as u32 });
+                }
+            }
+        }
+        let victim = iht.lru_order()[0];
+        let held = if iht.len() == cap {
+            iht.records().nth(victim)
+        } else {
+            None
+        };
+        let record = BlockRecord { key: key(fresh), hash: 7 };
+        prop_assert_eq!(iht.insert_lru(record), held);
+        prop_assert_eq!(iht.lru_order().last().copied(), Some(victim));
+        prop_assert_eq!(iht.probe(key(fresh)), Some(record));
+    }
+
     /// LRU replacement never evicts the most-recently-hit entry: after
     /// any operation history, a successful hit refreshes an entry's
     /// recency, so a subsequent capacity eviction must pick a victim

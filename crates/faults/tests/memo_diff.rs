@@ -21,7 +21,10 @@
 //! start empty. A second property does the same for fetch-bus plans:
 //! one-shot and stuck-at taps with one flip, or two flips in one
 //! executed block or in two different ones, the one-shot tap's fired
-//! state carried across the cut.
+//! state carried across the cut. A third holds corpus programs that
+//! store into their own text — the same word or a changed one, inside
+//! the storing block or elsewhere — to the same oracle, with and
+//! without a tap that passes the stores' spans.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,7 +36,9 @@ use cimon_faults::{BitFlip, BusFaultMode, PlannedBusTap};
 use cimon_hashgen::static_fht;
 use cimon_mem::{BusTap, ProgramImage};
 use cimon_os::RefillPolicyKind;
-use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, ProcessorSnapshot};
+use cimon_pipeline::{
+    BlockExec, Processor, ProcessorConfig, ProcessorSnapshot, TimingConfig, MAX_BLOCK_LEN,
+};
 use cimon_workloads::corpus::{generate, CorpusSpec};
 
 /// Bytes the dispatch-plane bookkeeping takes at the end of a snapshot
@@ -280,6 +285,109 @@ proptest! {
     }
 }
 
+/// A corpus program with a store into its own text at the top of every
+/// outer iteration: the word `offset` words from `OUTER` is read, XORed
+/// with `mask` (zero for a same-value store), and written back. Offsets
+/// 0–4 land on the storing block's own words up to the store itself,
+/// larger ones on later words of that block or on later blocks, and
+/// negative ones on code before the loop.
+fn with_text_store(spec: &CorpusSpec, offset: i32, mask: u16) -> ProgramImage {
+    let source = generate(spec).source.replacen(
+        "OUTER:\n",
+        &format!(
+            "OUTER:\n    la $t8, OUTER\n    lw $t9, {o}($t8)\n    \
+             xori $t9, $t9, {mask}\n    sw $t9, {o}($t8)\n",
+            o = 4 * offset
+        ),
+        1,
+    );
+    cimon_asm::assemble(&source)
+        .expect("patched corpus assembles")
+        .image
+}
+
+proptest! {
+    #[test]
+    fn text_stores_match_per_instruction_stepping(
+        seed in any::<u64>(),
+        target in 1_500u64..6_000,
+        algo in 0usize..5,
+        iht_entries in prop::sample::select(vec![1usize, 8, 32]),
+        offset in 0u32..36,
+        same_value in any::<bool>(),
+        bit in 0u8..16,
+        tap_kind in 0usize..4,
+        tap_word in any::<u64>(),
+        tap_bit in 0u8..32,
+        unplanned in any::<bool>(),
+        cut_percent in 0u64..100,
+    ) {
+        let spec = CorpusSpec { seed, target_dynamic_instructions: target };
+        let mask = if same_value { 0 } else { 1u16 << bit };
+        let image = with_text_store(&spec, offset as i32 - 12, mask);
+        let cic = CicConfig {
+            iht_entries,
+            hash_algo: HashAlgoKind::ALL[algo],
+            hash_seed: 0,
+        };
+        let policy = RefillPolicyKind::ReplaceHalfLru;
+        // A patched word can turn a loop endless: bound every run.
+        // Latencies other than the cached plans' keep block dispatch
+        // off the planned path.
+        let timing = if unplanned {
+            TimingConfig { mult_latency: 2, div_latency: 5 }
+        } else {
+            TimingConfig::default()
+        };
+        let bounded = |on: bool| ProcessorConfig {
+            max_cycles: 40 * target,
+            timing,
+            ..config(cic, policy, &image, on)
+        };
+
+        // No tap, or a planned tap that passes every span (its flip
+        // lies past the text), or one flip in the text that passes
+        // every other span, once (one-shot) or never (stuck-at).
+        let (lo, hi) = image.text_range();
+        let in_text = lo + 4 * (tap_word % u64::from((hi - lo) / 4)) as u32;
+        let tap = match tap_kind {
+            0 => None,
+            1 => Some(PlannedBusTap::new(vec![BitFlip::new(hi + 64, tap_bit)], BusFaultMode::StuckAt)),
+            2 => Some(PlannedBusTap::new(vec![BitFlip::new(in_text, tap_bit)], BusFaultMode::OneShot)),
+            _ => Some(PlannedBusTap::new(vec![BitFlip::new(in_text, tap_bit)], BusFaultMode::StuckAt)),
+        };
+
+        let mut block = Processor::new(&image, bounded(true));
+        let mut stepped = Processor::new(&image, bounded(false));
+        let shared = tap.map(|t| Rc::new(RefCell::new(t)));
+        if let Some(t) = &shared {
+            block.set_bus_tap(Box::new(SharedTap(t.clone())));
+            stepped.set_bus_tap(Box::new(t.borrow().clone()));
+        }
+
+        let cut = target * cut_percent / 100;
+        let block_done = block.run_to_instret(cut);
+        let stepped_done = match block_done {
+            Some(_) => Some(stepped.run()),
+            None => stepped.run_to_instret(block.instret()),
+        };
+        prop_assert_eq!(block_done, stepped_done);
+        assert_same_state(&block, &stepped, "cut");
+
+        let bytes = block.snapshot().to_bytes();
+        let mut resumed = Processor::new(&image, bounded(true));
+        if let Some(t) = &shared {
+            resumed.set_bus_tap(Box::new(t.borrow().clone()));
+        }
+        let snapshot = ProcessorSnapshot::from_bytes(&bytes).expect("own bytes decode");
+        resumed.restore(&snapshot).expect("own snapshot restores");
+        let out_block = resumed.run();
+        let out_stepped = stepped.run();
+        prop_assert_eq!(out_block, out_stepped);
+        assert_same_state(&resumed, &stepped, "end");
+    }
+}
+
 /// An identity tap that counts the fetches it sees and passes every
 /// span through.
 struct CountingTap(Rc<RefCell<u64>>);
@@ -307,23 +415,20 @@ impl BusTap for KeepsDefault {
 /// A tap that keeps the default [`BusTap::passes_through`] sees every
 /// fetch under block dispatch, exactly as under per-instruction
 /// stepping; one that passes its spans through is skipped by the
-/// validated block path.
+/// validated block path, store-carrying blocks included, and sees only
+/// the words a block fetches after one of its stores wrote the text.
 #[test]
 fn only_taps_that_pass_a_span_skip_its_fetches() {
-    let program = generate(&CorpusSpec {
-        seed: 3,
-        target_dynamic_instructions: 4_000,
-    });
-    let image = program.assemble().image;
     let cic = CicConfig {
         iht_entries: 8,
         hash_algo: HashAlgoKind::Xor,
         hash_seed: 0,
     };
     let policy = RefillPolicyKind::ReplaceHalfLru;
-    let fetches_seen = |on: bool, passes: bool| {
+    let fetches_seen = |image: &ProgramImage, on: bool, passes: bool| {
         let seen = Rc::new(RefCell::new(0));
-        let mut cpu = Processor::new(&image, config(cic, policy, &image, on));
+        let mut cpu = Processor::new(image, config(cic, policy, image, on));
+        let loaded_epoch = cpu.mem().dense_epoch();
         let tap = CountingTap(seen.clone());
         if passes {
             cpu.set_bus_tap(Box::new(tap));
@@ -331,23 +436,51 @@ fn only_taps_that_pass_a_span_skip_its_fetches() {
             cpu.set_bus_tap(Box::new(KeepsDefault(tap)));
         }
         let outcome = cpu.run();
+        let text_writes = cpu.mem().dense_epoch() - loaded_epoch;
         let seen = *seen.borrow();
-        (outcome, cpu.stats(), seen)
+        ((outcome, cpu.stats(), seen), text_writes)
     };
-    let stepped = fetches_seen(false, false);
+
+    // A registry program whose blocks carry stores but never write the
+    // text: a passing tap sees no fetch at all.
+    let rijndael = &cimon_workloads::get("rijndael").expect("registry").image;
+    let (stepped, text_writes) = fetches_seen(rijndael, false, false);
+    assert_eq!(text_writes, 0);
     assert!(
         stepped.2 >= stepped.1.instructions,
         "every retired word is fetched"
     );
-    assert_eq!(fetches_seen(true, false), stepped, "default answer");
-    let passing = fetches_seen(true, true);
+    assert_eq!(
+        fetches_seen(rijndael, true, false).0,
+        stepped,
+        "default answer"
+    );
+    let passing = fetches_seen(rijndael, true, true).0;
     assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
-    // Blocks with a store before their terminator fetch per word on
-    // any bus, so only the others skip the tap.
+    assert_eq!(passing.2, 0, "store-carrying blocks validate in bulk");
+
+    // A corpus program with same-value stores into its own text: only
+    // the words after each such store in its own block are fetched per
+    // word; the next dispatch re-validates in bulk.
+    let image = generate(&CorpusSpec {
+        seed: 3,
+        target_dynamic_instructions: 4_000,
+    })
+    .assemble()
+    .image;
+    let (stepped, text_writes) = fetches_seen(&image, false, false);
+    assert!(text_writes > 0, "the program writes its text");
+    assert_eq!(
+        fetches_seen(&image, true, false).0,
+        stepped,
+        "default answer"
+    );
+    let passing = fetches_seen(&image, true, true).0;
+    assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
     assert!(
-        passing.2 < stepped.2,
-        "a passing tap must leave bulk-validated blocks to the fast path ({} of {})",
+        passing.2 > 0 && passing.2 <= text_writes * (MAX_BLOCK_LEN as u64 - 1),
+        "a passing tap sees only the words after a text write ({} for {} writes)",
         passing.2,
-        stepped.2
+        text_writes
     );
 }

@@ -23,15 +23,17 @@
 //! per-instruction path mid-block, reproducing the unoptimised
 //! behaviour exactly — see `Processor::step_block`.
 //!
-//! Bulk validation is additionally gated on the block containing no
-//! store before its final instruction ([`CachedBlock::bulk_ok`]): a
-//! store can write into the program's own text, and only per-word
-//! fetches observe such self-modification at the architecturally
-//! correct instant.
+//! A store inside a block can change one of its later words only by
+//! writing the program's own text, and every such write bumps
+//! [`Memory::dense_epoch`](cimon_mem::Memory::dense_epoch). A bulk
+//! comparison therefore holds for the rest of its block while the epoch
+//! is unchanged; the dispatcher re-reads it after every executed
+//! instruction and fetches per word from the first text write on, so
+//! self-modification is observed at the architecturally correct instant.
 
 use std::sync::Arc;
 
-use cimon_isa::{Instr, INSTR_BYTES};
+use cimon_isa::INSTR_BYTES;
 
 use crate::predecode::{PredecodedEntry, PredecodedImage};
 use crate::timing::{BlockPlan, TimingConfig};
@@ -40,17 +42,6 @@ use crate::timing::{BlockPlan, TimingConfig};
 /// even without control flow so one dispatch's bookkeeping (bulk
 /// comparison span, bail-out granularity) stays bounded.
 pub const MAX_BLOCK_LEN: usize = 64;
-
-/// Per-slot block metadata.
-#[derive(Clone, Copy, Debug)]
-struct BlockMeta {
-    /// Instructions in the block starting at this slot (0 when the slot
-    /// itself is undecodable — dispatch falls back to live decode).
-    len: u16,
-    /// Whether the block contains no store before its final
-    /// instruction, making up-front bulk validation sound.
-    bulk_ok: bool,
-}
 
 /// One cached basic block, resolved for a concrete start PC.
 #[derive(Clone, Copy, Debug)]
@@ -63,9 +54,6 @@ pub struct CachedBlock<'a> {
     /// The same span as instruction words — what a batched hash
     /// observe absorbs for a bulk-validated block.
     pub words: &'a [u32],
-    /// Whether bulk validation is sound for this block (no store before
-    /// the final instruction).
-    pub bulk_ok: bool,
 }
 
 /// The predecoded image grouped into basic blocks, shareable across
@@ -81,9 +69,11 @@ pub struct BlockCache {
     /// The predecoded words themselves, slot-aligned (the batched
     /// hash-observe form of `bytes`).
     words: Vec<u32>,
-    meta: Vec<BlockMeta>,
+    /// Instructions in the block starting at each slot (0 when the slot
+    /// itself is undecodable — dispatch falls back to live decode).
+    lens: Vec<u16>,
     /// Per-slot static timing plan of the block's straight-line body
-    /// (empty plan where `meta.len <= 1`), precomputed under
+    /// (an empty plan for blocks of one instruction), precomputed under
     /// `timing_config`.
     plans: Vec<BlockPlan>,
     /// The latency configuration the plans were built for — a
@@ -95,7 +85,7 @@ impl std::fmt::Debug for BlockCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCache")
             .field("base", &format_args!("{:#010x}", self.base))
-            .field("slots", &self.meta.len())
+            .field("slots", &self.lens.len())
             .field("blocks", &self.block_count())
             .finish()
     }
@@ -117,13 +107,7 @@ impl BlockCache {
         let mut entries = Vec::new();
         let mut bytes = Vec::new();
         let mut words = Vec::new();
-        let mut meta = vec![
-            BlockMeta {
-                len: 0,
-                bulk_ok: true,
-            };
-            n
-        ];
+        let mut lens = vec![0u16; n];
         if let Some(ph) = placeholder {
             entries.reserve(n);
             bytes.reserve(n * 4);
@@ -135,19 +119,12 @@ impl BlockCache {
                 words.push(word);
                 entries.push(e);
             }
-            // Stores in slots [0, i): lets "any store before the block's
-            // last instruction" be answered with two lookups.
-            let mut store_prefix = vec![0u32; n + 1];
-            for i in 0..n {
-                let is_store = matches!(&slots[i], Some(e) if is_store_instr(&e.instr));
-                store_prefix[i + 1] = store_prefix[i] + is_store as u32;
-            }
             for i in (0..n).rev() {
-                let len = match &slots[i] {
+                lens[i] = match &slots[i] {
                     None => 0,
                     Some(e) if e.is_control_flow => 1,
                     Some(_) => {
-                        let next = if i + 1 < n { meta[i + 1].len } else { 0 };
+                        let next = if i + 1 < n { lens[i + 1] } else { 0 };
                         if next == 0 {
                             1
                         } else {
@@ -155,11 +132,6 @@ impl BlockCache {
                         }
                     }
                 };
-                meta[i].len = len;
-                if len > 0 {
-                    let last = i + len as usize - 1;
-                    meta[i].bulk_ok = store_prefix[last] == store_prefix[i];
-                }
             }
         }
         // Plan every slot's block body (all entries but the terminator)
@@ -168,7 +140,7 @@ impl BlockCache {
         // jump target mid-block replays its shorter schedule exactly.
         let plans = (0..n)
             .map(|i| {
-                let len = meta[i].len as usize;
+                let len = lens[i] as usize;
                 if len <= 1 {
                     BlockPlan::default()
                 } else {
@@ -182,7 +154,7 @@ impl BlockCache {
             entries,
             bytes,
             words,
-            meta,
+            lens,
             plans,
             timing_config,
         }
@@ -200,12 +172,12 @@ impl BlockCache {
 
     /// Number of instruction slots covered.
     pub fn len(&self) -> usize {
-        self.meta.len()
+        self.lens.len()
     }
 
     /// Whether the cache covers no instructions.
     pub fn is_empty(&self) -> bool {
-        self.meta.is_empty()
+        self.lens.is_empty()
     }
 
     /// Number of distinct blocks when entered from fall-through order
@@ -213,8 +185,8 @@ impl BlockCache {
     pub fn block_count(&self) -> usize {
         let mut i = 0;
         let mut count = 0;
-        while i < self.meta.len() {
-            let len = self.meta[i].len.max(1) as usize;
+        while i < self.lens.len() {
+            let len = self.lens[i].max(1) as usize;
             i += len;
             count += 1;
         }
@@ -236,8 +208,8 @@ impl BlockCache {
             return None;
         }
         let idx = off / INSTR_BYTES;
-        match self.meta.get(idx as usize) {
-            Some(meta) if meta.len > 0 => Some(idx),
+        match self.lens.get(idx as usize) {
+            Some(&len) if len > 0 => Some(idx),
             _ => None,
         }
     }
@@ -253,14 +225,12 @@ impl BlockCache {
     #[inline]
     pub fn block_at_slot(&self, slot: u32) -> CachedBlock<'_> {
         let idx = slot as usize;
-        let meta = &self.meta[idx];
-        debug_assert!(meta.len > 0, "slot {slot} holds no block");
-        let len = meta.len as usize;
+        let len = self.lens[idx] as usize;
+        debug_assert!(len > 0, "slot {slot} holds no block");
         CachedBlock {
             entries: &self.entries[idx..idx + len],
             bytes: &self.bytes[4 * idx..4 * (idx + len)],
             words: &self.words[idx..idx + len],
-            bulk_ok: meta.bulk_ok,
         }
     }
 
@@ -278,16 +248,14 @@ impl BlockCache {
     }
 }
 
-/// Whether an instruction writes data memory.
-fn is_store_instr(instr: &Instr) -> bool {
-    matches!(instr, Instr::I(i) if i.opcode.is_store())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockExec, Processor, ProcessorConfig, RunOutcome};
     use cimon_asm::assemble;
-    use cimon_mem::ProgramImage;
+    use cimon_mem::{BusTap, ProgramImage};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn cache_of(src: &str) -> (BlockCache, ProgramImage) {
         let image = assemble(src).unwrap().image;
@@ -331,36 +299,92 @@ mod tests {
         assert_eq!(cache.block_count(), 2);
     }
 
-    #[test]
-    fn stores_before_the_block_end_disable_bulk_validation() {
-        let (cache, img) = cache_of(PROGRAM);
-        // Entry block contains a mid-block sw: bulk unsafe.
-        assert!(!cache.block_at(img.entry).unwrap().bulk_ok);
-        // Block starting right after the sw has no store: bulk ok.
-        assert!(cache.block_at(img.entry + 16).unwrap().bulk_ok);
-        // Exit block is store-free.
-        assert!(cache.block_at(img.entry + 24).unwrap().bulk_ok);
+    /// An identity tap that counts the fetches it sees and passes every
+    /// span through, so only per-word fetches reach it.
+    struct CountingTap(Rc<Cell<u64>>);
+
+    impl BusTap for CountingTap {
+        fn on_fetch(&mut self, _addr: u32, word: u32) -> u32 {
+            self.0.set(self.0.get() + 1);
+            word
+        }
+
+        fn passes_through(&self, _start: u32, _end: u32) -> bool {
+            true
+        }
+    }
+
+    /// Run `src` at baseline under block dispatch behind a
+    /// [`CountingTap`]: the outcome, the per-word fetches the tap saw,
+    /// and the run's retired instructions and bail-outs.
+    fn per_word_fetches(src: &str) -> (RunOutcome, u64, u64, u64) {
+        let image = assemble(src).unwrap().image;
+        let mut cpu = Processor::new(
+            &image,
+            ProcessorConfig {
+                block_exec: BlockExec::On,
+                ..ProcessorConfig::baseline()
+            },
+        );
+        let seen = Rc::new(Cell::new(0));
+        cpu.set_bus_tap(Box::new(CountingTap(seen.clone())));
+        let outcome = cpu.run();
+        (
+            outcome,
+            seen.get(),
+            cpu.stats().instructions,
+            cpu.block_stats().bailouts,
+        )
     }
 
     #[test]
-    fn store_as_final_instruction_keeps_bulk_validation() {
-        // A store that is the *last* instruction of a size-cut block
-        // cannot invalidate any word of its own block, only later
-        // fetches — bulk validation stays sound for that block.
-        let mut src = String::from("    .text\nmain:\n");
-        for _ in 0..(MAX_BLOCK_LEN - 1) {
-            src.push_str("    addu $t0, $t0, $t1\n");
+    fn stores_before_the_block_end_keep_bulk_validation() {
+        // The entry and loop blocks carry a mid-block data store: it
+        // never lands in the text, so every word stays bulk-validated.
+        let (cache, img) = cache_of(PROGRAM);
+        assert_eq!(cache.block_at(img.entry).unwrap().entries.len(), 6);
+        let (outcome, seen, _, bailouts) = per_word_fetches(PROGRAM);
+        assert_eq!(outcome, RunOutcome::Exited { code: 55 });
+        assert_eq!(seen, 0, "no word of a store-carrying block is fetched");
+        assert_eq!(bailouts, 0);
+    }
+
+    #[test]
+    fn text_stores_fetch_only_the_rest_of_their_block() {
+        // A same-value store into the text, mid-block: the four words
+        // after it are fetched per word, the four up to it are not.
+        let mid = "
+            .text
+        main:
+            la   $t8, main
+            lw   $t9, 0($t8)
+            sw   $t9, 0($t8)
+            addu $t0, $t0, $t1
+            addu $t0, $t0, $t1
+            li   $v0, 10
+            syscall
+        ";
+        let (cache, img) = cache_of(mid);
+        assert_eq!(cache.block_at(img.entry).unwrap().entries.len(), 8);
+        let (outcome, seen, instructions, bailouts) = per_word_fetches(mid);
+        assert_eq!(outcome, RunOutcome::Exited { code: 0 });
+        assert_eq!((seen, instructions, bailouts), (4, 8, 0));
+
+        // The same store as the final instruction of a size-cut block:
+        // no word of its block follows it, and the next block
+        // re-validates in bulk against the written text.
+        let mut last = String::from("    .text\nmain:\n    la $t8, main\n    lw $t9, 0($t8)\n");
+        for _ in 0..(MAX_BLOCK_LEN - 4) {
+            last.push_str("    addu $t0, $t0, $t1\n");
         }
-        src.push_str("    sw $t0, 0($gp)\n"); // slot MAX_BLOCK_LEN - 1
-        src.push_str("    li $v0, 10\n    syscall\n");
-        let (cache, img) = cache_of(&src);
+        last.push_str("    sw $t9, 0($t8)\n"); // slot MAX_BLOCK_LEN - 1
+        last.push_str("    li $v0, 10\n    syscall\n");
+        let (cache, img) = cache_of(&last);
         let b = cache.block_at(img.entry).unwrap();
         assert_eq!(b.entries.len(), MAX_BLOCK_LEN);
-        assert!(b.bulk_ok, "final-slot store must not disable bulk");
-        // One slot later the store sits mid-block: bulk is unsafe.
-        let shifted = cache.block_at(img.entry + 4).unwrap();
-        assert_eq!(shifted.entries.len(), MAX_BLOCK_LEN);
-        assert!(!shifted.bulk_ok);
+        let (outcome, seen, instructions, _) = per_word_fetches(&last);
+        assert_eq!(outcome, RunOutcome::Exited { code: 0 });
+        assert_eq!((seen, instructions), (0, MAX_BLOCK_LEN as u64 + 2));
     }
 
     #[test]
@@ -419,7 +443,6 @@ mod tests {
                     assert_eq!(a.entries.len(), b.entries.len());
                     assert_eq!(a.bytes, b.bytes);
                     assert_eq!(a.words.len(), a.entries.len());
-                    assert_eq!(a.bulk_ok, b.bulk_ok);
                     // Words mirror the bytes word for word.
                     for (w, c) in a.words.iter().zip(a.bytes.chunks_exact(4)) {
                         assert_eq!(*w, u32::from_le_bytes(c.try_into().unwrap()));

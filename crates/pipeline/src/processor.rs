@@ -1553,20 +1553,22 @@ impl Processor {
         };
         let block = cache.block_at_slot(slot);
 
-        // Bulk validation: with no mid-block store, and a bus that is
-        // clean or whose tap passes the block's span through unchanged
-        // (`BusTap::passes_through`), one comparison against the dense
-        // text region proves every word the per-word path would fetch.
-        // Ineligibility (a tap that could alter or count a word of the
-        // block, self-modification possible, block outside the dense
+        // Bulk validation: on a bus that is clean or whose tap passes
+        // the block's span through unchanged (`BusTap::passes_through`),
+        // one comparison against the dense text region proves every word
+        // the per-word path would fetch. Ineligibility (a tap that could
+        // alter or count a word of the block, block outside the dense
         // region) or failure (tampering) selects per-word fetching,
         // which is exact in all cases and bails out at the diverging
         // word. A comparison that passed stays proven while the
         // memory's dense-region epoch is unchanged (no write has landed
-        // in the text), so hot re-dispatches skip the bytes entirely.
+        // in the text), so hot re-dispatches skip the bytes entirely —
+        // and so does the rest of the block itself: the loops re-read
+        // the epoch after every executed instruction and fetch per word
+        // from the first store that wrote the text.
         let last = pc.wrapping_add(block.bytes.len() as u32 - INSTR_BYTES);
-        let bulk = block.bulk_ok && self.env.bus.transparent_over(pc, last) && {
-            let epoch = self.env.mem.dense_epoch();
+        let epoch = self.env.mem.dense_epoch();
+        let bulk = self.env.bus.transparent_over(pc, last) && {
             self.validated[slot as usize] == epoch || {
                 let ok = match self.env.mem.dense_region() {
                     Some((base, bytes)) => {
@@ -1607,21 +1609,23 @@ impl Processor {
                     block.entries,
                     block.words,
                     plan,
+                    epoch,
                     &mut sta,
                     &mut rhash,
                     &mut reached,
                 )
             } else {
-                self.block_loop::<true>(block.entries, &mut sta, &mut rhash, &mut reached)
+                self.block_loop::<true>(block.entries, epoch, &mut sta, &mut rhash, &mut reached)
             }
         } else {
-            self.block_loop::<false>(block.entries, &mut sta, &mut rhash, &mut reached)
+            self.block_loop::<false>(block.entries, epoch, &mut sta, &mut rhash, &mut reached)
         };
         if bulk {
             // Bulk validation stood in for the per-word fetches of
-            // exactly the instructions the loop reached (an early
-            // `MaxCycles` never fetches the instruction it stops on, so
-            // the count matches per-instruction stepping).
+            // exactly the instructions the loop reached before any text
+            // write (an early `MaxCycles` never fetches the instruction
+            // it stops on, so the count matches per-instruction
+            // stepping); the words after a text write were fetched.
             self.env.bus.note_fetches(reached);
         }
         if let BlockLoopExit::Bail { pc, word } = exit {
@@ -1658,19 +1662,22 @@ impl Processor {
     }
 
     /// The per-instruction body of one block dispatch, specialised on
-    /// the validation mode: with `BULK` the block's words were already
-    /// proven identical to memory, so the loop carries no fetch calls,
-    /// word comparisons, or bail-out arm at all; without it every word
-    /// goes through the real fetch bus (taps fire in order) and any
-    /// divergence exits with [`BlockLoopExit::Bail`].
+    /// the validation mode: with `BULK` the block's words were proven
+    /// identical to memory at dense-region epoch `epoch`, so the loop
+    /// carries no fetch calls, word comparisons, or bail-out arm while
+    /// the epoch holds; without it (or from the first instruction after
+    /// a store into the text) every word goes through the real fetch
+    /// bus (taps fire in order) and any divergence exits with
+    /// [`BlockLoopExit::Bail`].
     fn block_loop<const BULK: bool>(
         &mut self,
         entries: &[PredecodedEntry],
+        epoch: u64,
         sta: &mut u32,
         rhash: &mut u32,
         reached: &mut u64,
     ) -> BlockLoopExit {
-        for entry in entries {
+        for (i, entry) in entries.iter().enumerate() {
             let pc = self.pc;
             if self.timing.cycles() > self.max_cycles {
                 return BlockLoopExit::Finished(RunOutcome::MaxCycles);
@@ -1743,6 +1750,11 @@ impl Processor {
                 return BlockLoopExit::Finished(RunOutcome::Exited { code });
             }
             self.pc = exec.next_pc;
+            if BULK && self.env.mem.dense_epoch() != epoch {
+                // A store wrote the text: the words still to come may
+                // no longer be the validated ones, so fetch them.
+                return self.block_loop::<false>(&entries[i + 1..], epoch, sta, rhash, reached);
+            }
         }
         BlockLoopExit::Done
     }
@@ -1760,14 +1772,16 @@ impl Processor {
     /// terminator's poll, so skipping the per-body-entry polls and
     /// issues is exact. The body contains no control flow by
     /// construction, so it cannot exit, redirect, or resolve monitor
-    /// verdicts; and bulk validation already excluded stores before
-    /// the terminator, so executing the body touches neither memory
-    /// text nor the monitor — which is what lets the hash observes of
-    /// the executed words batch into one [`Cic::hash_block_step`]
-    /// call after the body completes (same words, same order, same
-    /// `words_hashed` count as observing each before its execute).
-    /// The only early exit is an execution fault, which observes and
-    /// issues exactly the prefix sequential stepping would have.
+    /// verdicts, and executing it never touches the monitor — which is
+    /// what lets the hash observes of the executed words batch into
+    /// one [`Cic::hash_block_step`] call after the body completes
+    /// (same words, same order, same `words_hashed` count as observing
+    /// each before its execute). While the dense-region epoch stays at
+    /// `epoch`, the words still to come are the validated ones. Two
+    /// early exits commit exactly the prefix sequential stepping would
+    /// have observed and issued: an execution fault, which ends the
+    /// run, and a store that wrote the text, after which the rest of
+    /// the block fetches per word through [`Processor::block_loop`].
     #[allow(clippy::too_many_arguments)]
     fn block_loop_planned(
         &mut self,
@@ -1775,6 +1789,7 @@ impl Processor {
         entries: &[PredecodedEntry],
         words: &[u32],
         plan: &crate::timing::BlockPlan,
+        epoch: u64,
         sta: &mut u32,
         rhash: &mut u32,
         reached: &mut u64,
@@ -1787,6 +1802,7 @@ impl Processor {
             self.shadow_block_start = Some(start_pc);
         }
         let mut fault = None;
+        let mut written = false;
         let mut executed = 0usize;
         for entry in body {
             debug_assert!(!entry.is_control_flow, "body entries are straight-line");
@@ -1802,14 +1818,18 @@ impl Processor {
                     break;
                 }
             }
+            if self.env.mem.dense_epoch() != epoch {
+                written = true;
+                break;
+            }
         }
-        if let Some(f) = fault {
+        if fault.is_some() || written {
             // Sequential stepping observes an instruction's word before
-            // executing it, so the faulting instruction is observed too
-            // — but nothing past it. A faulting instruction never
-            // issues: commit the prefix that did, exactly as sequential
+            // executing it, so a faulting instruction is observed too —
+            // but nothing past it. A faulting instruction never issues:
+            // commit the prefix that did, exactly as sequential
             // stepping would have left the schedule.
-            let observed = executed + 1;
+            let observed = executed + usize::from(fault.is_some());
             *reached += observed as u64;
             if let Some(m) = &mut self.env.monitor {
                 *rhash = m.cic.hash_block_step(&words[..observed]);
@@ -1822,7 +1842,12 @@ impl Processor {
                     .issue_masks(e.klass, e.src_mask, e.dest_mask, false);
             }
             self.instret += executed as u64;
-            return BlockLoopExit::Finished(RunOutcome::Fault(f));
+            if let Some(f) = fault {
+                return BlockLoopExit::Finished(RunOutcome::Fault(f));
+            }
+            // A store wrote the text: the words still to come may no
+            // longer be the validated ones, so fetch them.
+            return self.block_loop::<false>(&entries[executed..], epoch, sta, rhash, reached);
         }
 
         // The body completed, and `plan_fits` already proved the cycle

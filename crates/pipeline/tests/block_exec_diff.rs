@@ -7,7 +7,9 @@
 //! outcomes, statistics (including every monitor counter), cycle
 //! counts, and architectural state to one stepping instruction by
 //! instruction. The deterministic tests at the bottom additionally
-//! prove the mid-block bail-out path actually fires.
+//! prove the mid-block bail-out path actually fires, and hold programs
+//! that store into their own text to the same oracle on every block
+//! path.
 
 use proptest::prelude::*;
 
@@ -16,7 +18,7 @@ use cimon_core::hash::hash_words;
 use cimon_core::{BlockRecord, CicConfig, HashAlgoKind};
 use cimon_mem::BusTap;
 use cimon_os::FullHashTable;
-use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, RunOutcome};
+use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, RunOutcome, TimingConfig};
 
 /// A one-shot transient fault: flip `bit` of the word fetched from
 /// `target`, once.
@@ -329,7 +331,7 @@ fn self_modifying_store_is_observed_exactly() {
     // A program that overwrites its own upcoming instruction: the store
     // targets the `addiu $a0, $a0, 1` that runs right after it inside
     // the same basic block, replacing it with `addiu $a0, $a0, 7`.
-    // Per-word fetching (forced by the mid-block store) must observe
+    // Per-word fetching (from the store's text write on) must observe
     // the new word at the architecturally correct instant and bail to
     // live decode — identically with block dispatch on and off.
     let src = "
@@ -365,4 +367,184 @@ fn self_modifying_store_is_observed_exactly() {
         block_on.bailouts > 0,
         "patched word must bail: {block_on:?}"
     );
+}
+
+/// Bytes the dispatch-plane bookkeeping takes at the end of a snapshot
+/// of a processor without a block cache, before the trailing checksum:
+/// four block-exec counters and an empty validation-epoch vector. These
+/// and the leading fetch-stage scratch registers (`CPC`, `PPC`, `IReg`)
+/// legitimately differ between dispatch modes; every other byte,
+/// including the fetch count, must be equal.
+const STEPPED_DISPATCH_TAIL: usize = 4 * 8 + 8;
+
+/// Bytes of the fetch-stage scratch registers leading every snapshot.
+const FETCH_SCRATCH_BYTES: usize = 3 * 4;
+
+/// Run `config` under `max_cycles` with block dispatch on and off and
+/// assert identical outcomes, run, checker and OS statistics, LRU
+/// order, registers and snapshot bytes.
+fn assert_same_run(image: &cimon_mem::ProgramImage, config: &ProcessorConfig, max_cycles: u64) {
+    let mut fast = Processor::new(image, with_block_exec(config.clone(), true, max_cycles));
+    let mut slow = Processor::new(image, with_block_exec(config.clone(), false, max_cycles));
+    let at = format!("max_cycles {max_cycles}");
+    assert_eq!(fast.run(), slow.run(), "{at}: outcome");
+    assert_eq!(fast.stats(), slow.stats(), "{at}: run stats");
+    assert_eq!(
+        fast.regs().snapshot(),
+        slow.regs().snapshot(),
+        "{at}: registers"
+    );
+    assert_eq!(
+        fast.cic().map(|c| (c.stats(), c.iht().lru_order())),
+        slow.cic().map(|c| (c.stats(), c.iht().lru_order())),
+        "{at}: checker stats and LRU order"
+    );
+    assert_eq!(
+        fast.os().map(|o| o.stats()),
+        slow.os().map(|o| o.stats()),
+        "{at}: OS stats"
+    );
+    let (f, s) = (fast.snapshot().to_bytes(), slow.snapshot().to_bytes());
+    let core = s.len() - 4 - STEPPED_DISPATCH_TAIL;
+    assert_eq!(
+        f[FETCH_SCRATCH_BYTES..core],
+        s[FETCH_SCRATCH_BYTES..core],
+        "{at}: snapshot bytes"
+    );
+    assert_eq!(
+        f[f.len() - 4..],
+        s[s.len() - 4..],
+        "{at}: snapshot checksum"
+    );
+    assert_eq!(slow.block_stats().dispatches, 0);
+}
+
+/// Hold a program that stores into its own text to the stepping oracle
+/// at baseline and at CIC-8, on both block paths: the planned one (a
+/// full budget), and the per-instruction one that a budget near a block
+/// forces (every budget up to past the run's end) or a processor whose
+/// latencies differ from the cached plans' runs throughout. Returns the
+/// unbounded baseline outcome.
+fn assert_store_case(src: &str) -> RunOutcome {
+    let prog = assemble(src).expect("case assembles");
+    let fht = trace_fht(&prog.image);
+    let mut full = Processor::new(
+        &prog.image,
+        with_block_exec(ProcessorConfig::baseline(), false, 100_000),
+    );
+    let outcome = full.run();
+    let end = full.cycles();
+    let unplanned = TimingConfig {
+        mult_latency: 2,
+        div_latency: 5,
+    };
+    for base in [
+        ProcessorConfig::baseline(),
+        ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
+    ] {
+        for timing in [TimingConfig::default(), unplanned] {
+            let config = ProcessorConfig {
+                timing,
+                ..base.clone()
+            };
+            assert_same_run(&prog.image, &config, 100_000);
+            for max_cycles in 0..end + 8 {
+                assert_same_run(&prog.image, &config, max_cycles);
+            }
+        }
+    }
+    outcome
+}
+
+#[test]
+fn a_store_overwriting_a_later_word_of_its_block_is_exact() {
+    let src = "
+        .text
+    main:
+        li   $a0, 0
+        la   $t0, donor
+        lw   $t1, 0($t0)     # t1 = the encoded `addiu $a0, $a0, 7`
+        la   $t2, target
+        sw   $t1, 0($t2)     # overwrite a word two slots ahead
+        addiu $a0, $a0, 2
+    target:
+        addiu $a0, $a0, 1
+        addiu $a0, $a0, 3
+        li   $v0, 10
+        syscall
+    donor:
+        addiu $a0, $a0, 7
+    ";
+    assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 12 });
+}
+
+#[test]
+fn a_store_overwriting_an_earlier_word_of_its_block_is_exact() {
+    // The loop's first word is patched after it ran: the rest of that
+    // iteration is unchanged, and the next dispatch of the loop block
+    // sees the new word.
+    let src = "
+        .text
+    main:
+        li   $a0, 0
+        li   $s0, 3
+        la   $t0, donor
+        lw   $t1, 0($t0)
+        la   $t2, target
+    target:
+        addiu $a0, $a0, 1
+        sw   $t1, 0($t2)
+        addiu $s0, $s0, -1
+        bnez $s0, target
+        li   $v0, 10
+        syscall
+    donor:
+        addiu $a0, $a0, 7
+    ";
+    assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 15 });
+}
+
+#[test]
+fn a_store_writing_text_outside_its_block_is_exact() {
+    let src = "
+        .text
+    main:
+        li   $a0, 0
+        la   $t0, donor
+        lw   $t1, 0($t0)
+        la   $t2, target
+        sw   $t1, 0($t2)     # patch the next block, not this one
+        addiu $a0, $a0, 2
+        addiu $a0, $a0, 3
+        j    target
+    target:
+        addiu $a0, $a0, 1
+        li   $v0, 10
+        syscall
+    donor:
+        addiu $a0, $a0, 7
+    ";
+    assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 12 });
+}
+
+#[test]
+fn a_same_value_store_into_the_text_is_exact() {
+    // The corpus's benign store: read an instruction word and write it
+    // straight back, mid-block, on every loop iteration.
+    let src = "
+        .text
+    main:
+        li   $a0, 0
+        li   $s0, 4
+    loop:
+        la   $t8, loop
+        lw   $t9, 0($t8)
+        sw   $t9, 0($t8)
+        addiu $a0, $a0, 2
+        addiu $s0, $s0, -1
+        bnez $s0, loop
+        li   $v0, 10
+        syscall
+    ";
+    assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 8 });
 }
