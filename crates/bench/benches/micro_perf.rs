@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the monitor's hardware-model hot
 //! paths: HASHFU throughput per algorithm (word-at-a-time and
 //! batched), FHT generation, IHT lookup latency across table sizes
-//! (plain and way-hinted), one block-end check hashed vs memoised, the
+//! (plain and way-hinted), the OS refill per miss across table sizes,
+//! one block-end check hashed vs memoised, the
 //! scheduler's slice vs mask vs fused-block issue paths, end-to-end
 //! simulator speed, the block-dispatch loop per simulated instruction
 //! on a long corpus program, the fixed set-up cost of a faulted campaign run
@@ -13,6 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use cimon_core::hash::{hash_block, hasher_for};
 use cimon_core::{BlockKey, BlockMemo, BlockRecord, Cic, CicConfig, HashAlgoKind, Iht};
 use cimon_faults::{BusFaultMode, Campaign, CampaignConfig, FaultModel, FaultSite};
+use cimon_os::{RefillPolicy, ReplaceHalfLru};
 use cimon_pipeline::predecode::PredecodedImage;
 use cimon_pipeline::{
     BlockCache, BlockExec, BlockPlan, Predecode, Processor, ProcessorConfig, Timing, TimingConfig,
@@ -227,6 +229,60 @@ fn bench_iht_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// A full table of keys outside every program's text, their recency
+/// scrambled by one lookup each in a scattered order: the state a
+/// refill meets in a table that has run warm.
+fn stale_iht(entries: usize) -> Iht {
+    let mut iht = Iht::new(entries);
+    let keys: Vec<BlockKey> = (0..entries as u32)
+        .map(|i| BlockKey::new(0x4000_1000 + i * 0x40, 0x4000_1010 + i * 0x40))
+        .collect();
+    for (i, &key) in keys.iter().enumerate() {
+        iht.replace_at(i, BlockRecord { key, hash: 0 });
+    }
+    for i in 0..entries {
+        iht.lookup(keys[i * 7 % entries], 0);
+    }
+    iht
+}
+
+fn bench_iht_refill(c: &mut Criterion) {
+    // The OS refill on stringsearch's FHT, per miss. From a stale full
+    // table, the FHT's records are missed in a scattered order, each
+    // one not resident at its turn refilling the table, for up to 1024
+    // refills (at 256 entries the whole FHT is resident after a few).
+    // The miss sequence is found once, outside the timing; each timed
+    // iteration replays it on a copy of the stale table.
+    let w = cimon_workloads::get("stringsearch").expect("exists");
+    let fht = cimon_sim::build_fht(&w.image, &SimConfig::default()).unwrap();
+    let records = fht.records();
+    let mut group = c.benchmark_group("iht_refill");
+    for entries in [8usize, 32, 256] {
+        let start = stale_iht(entries);
+        let mut policy = ReplaceHalfLru::default();
+        let mut iht = start.clone();
+        let mut misses = Vec::new();
+        for n in 0..records.len() * 64 {
+            let i = n * 29 % records.len();
+            if misses.len() < 1024 && iht.probe(records[i].key).is_none() {
+                policy.refill(&mut iht, &records[i + 1..], records[i]);
+                misses.push(i);
+            }
+        }
+        group.throughput(Throughput::Elements(misses.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(entries), &entries, |b, _| {
+            b.iter(|| {
+                let mut iht = start.clone();
+                for &i in &misses {
+                    policy.refill(&mut iht, &records[i + 1..], records[i]);
+                }
+                iht
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_cic_check(c: &mut Criterion) {
     // One block-end check of a 6-word block (about the mean dispatch),
     // as the planned block path pays it: hash the words, look the
@@ -347,7 +403,8 @@ fn bench_run_setup(c: &mut Criterion) {
     // The fixed cost of one faulted campaign run on stringsearch: load
     // the image, build a monitored processor over shared caches (as
     // `Campaign` does), and restore the clean run's mid-point
-    // checkpoint — verifying its CRC-32 over every resident word.
+    // checkpoint. `snapshot_checksum` is the CRC-32 over every
+    // resident word that `to_bytes` records and `from_bytes` checks.
     let w = cimon_workloads::get("stringsearch").expect("exists");
     let fht = std::sync::Arc::new(cimon_sim::build_fht(&w.image, &SimConfig::default()).unwrap());
     let predecoded = std::sync::Arc::new(PredecodedImage::new(&w.image));
@@ -418,6 +475,7 @@ criterion_group!(
     bench_fht_generation,
     bench_timing_issue,
     bench_iht_lookup,
+    bench_iht_refill,
     bench_simulator,
     bench_block_dispatch,
     bench_run_setup,

@@ -7,8 +7,7 @@
 //! variants mirror the failure domains of the harness itself rather
 //! than the monitored program: a program that tampers with its own
 //! image is a *result* (`RunOutcome::Detected`), not an error; a
-//! worker thread that panics or a snapshot that fails its checksum is
-//! an error.
+//! worker thread that panics is an error.
 //!
 //! The enum is deliberately `Clone + PartialEq + Eq` so poisoned
 //! experiment rows can carry their error by value and tests can assert
@@ -40,13 +39,6 @@ pub enum SimError {
     MemoryBounds {
         /// The offending address.
         addr: u32,
-    },
-    /// A snapshot failed its integrity checksum on restore.
-    SnapshotCorrupt {
-        /// Checksum recorded when the snapshot was taken.
-        expected: u32,
-        /// Checksum recomputed over the snapshot at restore time.
-        found: u32,
     },
     /// A worker thread panicked; the panic was caught and localised.
     WorkerPanic {
@@ -115,10 +107,6 @@ impl fmt::Display for SimError {
             SimError::MemoryBounds { addr } => {
                 write!(f, "memory access out of bounds at {addr:#010x}")
             }
-            SimError::SnapshotCorrupt { expected, found } => write!(
-                f,
-                "snapshot checksum mismatch: expected {expected:#010x}, found {found:#010x}"
-            ),
             SimError::WorkerPanic { site, message } => {
                 write!(f, "worker panic in {site} pool: {message}")
             }
@@ -151,7 +139,6 @@ impl SimError {
             SimError::HashGen { .. } => "hash-gen",
             SimError::Decode { .. } => "decode",
             SimError::MemoryBounds { .. } => "memory-bounds",
-            SimError::SnapshotCorrupt { .. } => "snapshot-corrupt",
             SimError::WorkerPanic { .. } => "worker-panic",
             SimError::CycleBudget { .. } => "cycle-budget",
             SimError::Watchdog { .. } => "watchdog",
@@ -168,12 +155,11 @@ impl SimError {
     /// order. Report writers and the serve journal key on these tags,
     /// so the list is pinned by a golden test: adding a variant without
     /// extending it (and the journal round-trip) fails loudly.
-    pub const KINDS: [&'static str; 14] = [
+    pub const KINDS: [&'static str; 13] = [
         "assembly",
         "hash-gen",
         "decode",
         "memory-bounds",
-        "snapshot-corrupt",
         "worker-panic",
         "cycle-budget",
         "watchdog",
@@ -186,15 +172,12 @@ impl SimError {
     ];
 
     /// Whether a retry could plausibly succeed: transient failures
-    /// (a panicking worker, a corrupted snapshot, an I/O hiccup) are
+    /// (a panicking worker, an I/O hiccup) are
     /// worth one retry with backoff; deterministic rejections
     /// (`InvalidConfig`, `Protocol`, ...) never are. The serve layer's
     /// retry policy is exactly this predicate.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            SimError::WorkerPanic { .. } | SimError::SnapshotCorrupt { .. } | SimError::Io { .. }
-        )
+        matches!(self, SimError::WorkerPanic { .. } | SimError::Io { .. })
     }
 
     /// Reconstruct an error from its `(kind, Display)` wire form — the
@@ -247,14 +230,6 @@ impl SimError {
             "memory-bounds" => Some(SimError::MemoryBounds {
                 addr: hex_u32(tail(rendered, "memory access out of bounds at ")?)?,
             }),
-            "snapshot-corrupt" => {
-                let rest = tail(rendered, "snapshot checksum mismatch: expected ")?;
-                let (expected, found) = rest.split_once(", found ")?;
-                Some(SimError::SnapshotCorrupt {
-                    expected: hex_u32(expected)?,
-                    found: hex_u32(found)?,
-                })
-            }
             "worker-panic" => {
                 let rest = tail(rendered, "worker panic in ")?;
                 let (site, message) = rest.split_once(" pool: ")?;
@@ -322,15 +297,12 @@ mod tests {
 
     #[test]
     fn display_is_stable() {
-        let e = SimError::SnapshotCorrupt {
-            expected: 0xdead_beef,
-            found: 0x0bad_f00d,
+        let e = SimError::Decode {
+            addr: 0x0040_0010,
+            word: 0xdead_beef,
         };
-        assert_eq!(
-            e.to_string(),
-            "snapshot checksum mismatch: expected 0xdeadbeef, found 0x0badf00d"
-        );
-        assert_eq!(e.kind(), "snapshot-corrupt");
+        assert_eq!(e.to_string(), "undecodable word 0xdeadbeef at 0x00400010");
+        assert_eq!(e.kind(), "decode");
     }
 
     /// One exemplar per variant, used by the golden-kind and wire
@@ -349,10 +321,6 @@ mod tests {
                 word: 0xdead_beef,
             },
             SimError::MemoryBounds { addr: 0x7fff_fffc },
-            SimError::SnapshotCorrupt {
-                expected: 0x1234_5678,
-                found: 0x8765_4321,
-            },
             SimError::WorkerPanic {
                 site: "sweep",
                 message: "chaos: injected panic at sweep[3]".into(),
@@ -421,15 +389,10 @@ mod tests {
 
     #[test]
     fn transience_matches_the_retry_contract() {
-        // WorkerPanic / SnapshotCorrupt / Io retry once; InvalidConfig, ResumeMismatch (and every other
+        // WorkerPanic / Io retry once; InvalidConfig, ResumeMismatch (and every other
         // deterministic rejection) never.
         for e in exemplars() {
-            let expect = matches!(
-                e,
-                SimError::WorkerPanic { .. }
-                    | SimError::SnapshotCorrupt { .. }
-                    | SimError::Io { .. }
-            );
+            let expect = matches!(e, SimError::WorkerPanic { .. } | SimError::Io { .. });
             assert_eq!(e.is_transient(), expect, "{}", e.kind());
         }
         assert!(!SimError::ResumeMismatch {

@@ -6,8 +6,9 @@
 //! hardware-maintained recency state: the paper's OS-managed scheme
 //! relies on "specific hardwares … to implement the replacement policy
 //! and select appropriate entries to overwrite when the IHT is full"
-//! (Section 3.3). The OS reads that state through [`Iht::lru_order`] and
-//! writes entries through [`Iht::replace_at`] / [`Iht::insert_lru`].
+//! (Section 3.3). The OS reads that state through
+//! [`Iht::lru_prefix_into`] and writes entries through
+//! [`Iht::replace_at`] / [`Iht::insert_lru`].
 
 use cimon_isa::codec::{CodecError, Dec, Enc};
 
@@ -28,17 +29,27 @@ pub enum LookupOutcome {
     Miss,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    record: BlockRecord,
-    /// Monotonic recency stamp; larger = more recently used.
-    stamp: u64,
+/// Packed key of an invalid slot. A real key's start is word-aligned,
+/// so no key packs to this value and a key compare never needs a
+/// validity check.
+const EMPTY: u64 = u64::MAX;
+
+/// A key as one comparable word: `(start << 32) | end`.
+fn pack(key: BlockKey) -> u64 {
+    (u64::from(key.start) << 32) | u64::from(key.end)
 }
 
 /// The internal hash table.
+///
+/// Stored as parallel arrays, one element per slot, so the associative
+/// search is a scan of packed keys: `keys` (`EMPTY` when invalid),
+/// `hashes`, and `stamps`, the monotonic recency stamps (larger = more
+/// recently used, 0 = invalid; the clock's first tick is 1).
 #[derive(Clone, Debug)]
 pub struct Iht {
-    slots: Vec<Option<Slot>>,
+    keys: Vec<u64>,
+    hashes: Vec<u32>,
+    stamps: Vec<u64>,
     clock: u64,
     /// Slot of the last key match — probed first on the next lookup.
     /// Hot loops re-check the block they just checked, so this turns
@@ -58,7 +69,9 @@ impl Iht {
     pub fn new(entries: usize) -> Iht {
         assert!(entries > 0, "IHT must have at least one entry");
         Iht {
-            slots: vec![None; entries],
+            keys: vec![EMPTY; entries],
+            hashes: vec![0; entries],
+            stamps: vec![0; entries],
             clock: 0,
             mru: 0,
         }
@@ -66,12 +79,12 @@ impl Iht {
 
     /// Table capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.keys.len()
     }
 
     /// Number of valid entries.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 
     /// Whether no entry is valid.
@@ -82,6 +95,24 @@ impl Iht {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
+    }
+
+    /// The valid record in slot `i`.
+    fn record(&self, i: usize) -> BlockRecord {
+        let k = self.keys[i];
+        BlockRecord {
+            key: BlockKey {
+                start: (k >> 32) as u32,
+                end: k as u32,
+            },
+            hash: self.hashes[i],
+        }
+    }
+
+    /// The slot holding `key`, if any.
+    fn way_of(&self, key: BlockKey) -> Option<usize> {
+        let packed = pack(key);
+        self.keys.iter().position(|&k| k == packed)
     }
 
     /// The associative lookup performed by the ID-stage micro-op
@@ -103,66 +134,76 @@ impl Iht {
     /// (an out-of-range hint is clamped).
     pub fn lookup_from(&mut self, key: BlockKey, hash: u32, hint: &mut usize) -> LookupOutcome {
         let stamp = self.tick();
-        let n = self.slots.len();
-        let first = (*hint).min(n - 1);
-        let holds = |s: &Option<Slot>| s.is_some_and(|s| s.record.key == key);
-        let way = if holds(&self.slots[first]) {
-            Some(first)
+        let first = (*hint).min(self.keys.len() - 1);
+        let way = if self.keys[first] == pack(key) {
+            first
         } else {
-            (0..n).find(|&i| i != first && holds(&self.slots[i]))
-        };
-        let Some(way) = way else {
-            return LookupOutcome::Miss;
+            match self.way_of(key) {
+                Some(way) => way,
+                None => return LookupOutcome::Miss,
+            }
         };
         *hint = way;
         self.mru = way;
-        let slot = self.slots[way]
-            .as_mut()
-            .unwrap_or_else(|| unreachable!("matched way is valid"));
-        if slot.record.hash == hash {
-            slot.stamp = stamp;
+        let expected = self.hashes[way];
+        if expected == hash {
+            self.stamps[way] = stamp;
             LookupOutcome::Hit
         } else {
-            LookupOutcome::Mismatch {
-                expected: slot.record.hash,
-            }
+            LookupOutcome::Mismatch { expected }
         }
     }
 
     /// Probe without touching recency (used by tests and
     /// the OS to inspect the table).
     pub fn probe(&self, key: BlockKey) -> Option<BlockRecord> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|s| s.record.key == key)
-            .map(|s| s.record)
+        self.way_of(key).map(|i| self.record(i))
     }
 
     /// Slot indices ordered least-recently-used first. Invalid slots come
     /// before all valid ones (they are the cheapest victims).
     pub fn lru_order(&self) -> Vec<usize> {
         let mut idx = Vec::new();
-        self.lru_order_into(&mut idx);
+        self.lru_prefix_into(self.capacity(), &mut idx);
         idx
     }
 
-    /// [`Iht::lru_order`] into a caller-owned buffer (cleared first) —
-    /// the refill path runs on every IHT miss, so victim selection must
-    /// not allocate once the buffer has warmed.
-    pub fn lru_order_into(&self, out: &mut Vec<usize>) {
+    /// The first `k` slots of [`Iht::lru_order`] (all of them if `k`
+    /// is at least the capacity) into a caller-owned buffer, cleared
+    /// first. The refill path runs on every IHT miss, so victim
+    /// selection neither allocates once the buffer has warmed nor
+    /// sorts the whole table: a selection puts the `k` stalest slots
+    /// first, and only those are sorted.
+    pub fn lru_prefix_into(&self, k: usize, out: &mut Vec<usize>) {
         out.clear();
-        out.extend(0..self.slots.len());
+        let k = k.min(self.capacity());
+        if k == 0 {
+            return;
+        }
+        if k == 1 {
+            out.push(self.lru_head());
+            return;
+        }
+        out.extend(0..self.capacity());
+        if k < out.len() {
+            out.select_nth_unstable_by_key(k - 1, |&i| self.recency_key(i));
+            out.truncate(k);
+        }
         out.sort_unstable_by_key(|&i| self.recency_key(i));
     }
 
-    /// Slot `i`'s position in the LRU order: invalid slots first, then
-    /// valid ones stalest first, ties broken by index.
-    fn recency_key(&self, i: usize) -> (bool, u64, usize) {
-        match &self.slots[i] {
-            None => (false, 0, i),
-            Some(s) => (true, s.stamp, i),
-        }
+    /// The head of [`Iht::lru_order`], by one scan.
+    fn lru_head(&self) -> usize {
+        (0..self.capacity())
+            .min_by_key(|&i| self.recency_key(i))
+            .unwrap_or_else(|| unreachable!("an IHT has at least one slot"))
+    }
+
+    /// Slot `i`'s position in the LRU order: invalid slots (stamp 0)
+    /// first, then valid ones stalest first, ties broken by index. The
+    /// keys are distinct, so the order is total.
+    fn recency_key(&self, i: usize) -> (u64, usize) {
+        (self.stamps[i], i)
     }
 
     /// Overwrite slot `index` with `record`, marking it most recent.
@@ -172,60 +213,55 @@ impl Iht {
     /// Panics if `index` is out of range.
     pub fn replace_at(&mut self, index: usize, record: BlockRecord) {
         let stamp = self.tick();
-        self.slots[index] = Some(Slot { record, stamp });
+        self.keys[index] = pack(record.key);
+        self.hashes[index] = record.hash;
+        self.stamps[index] = stamp;
     }
 
     /// Insert `record`, evicting the LRU slot if the table is full.
     /// Returns the evicted record, if any. If the key is already present
     /// the entry is updated in place.
     pub fn insert_lru(&mut self, record: BlockRecord) -> Option<BlockRecord> {
-        let stamp = self.tick();
-        if let Some(slot) = self
-            .slots
-            .iter_mut()
-            .flatten()
-            .find(|s| s.record.key == record.key)
-        {
-            slot.record = record;
-            slot.stamp = stamp;
+        if let Some(way) = self.way_of(record.key) {
+            self.replace_at(way, record);
             return None;
         }
-        // The head of `lru_order`, found by one scan instead of a sort:
-        // every key is distinct, so the minimum is unique.
-        let victim_idx = (0..self.slots.len())
-            .min_by_key(|&i| self.recency_key(i))
-            .unwrap_or_else(|| unreachable!("an IHT has at least one slot"));
-        let evicted = self.slots[victim_idx].map(|s| s.record);
-        self.slots[victim_idx] = Some(Slot { record, stamp });
+        let victim = self.lru_head();
+        let evicted = (self.stamps[victim] != 0).then(|| self.record(victim));
+        self.replace_at(victim, record);
         evicted
     }
 
     /// Invalidate every entry (e.g. on context switch).
     pub fn flush(&mut self) {
-        self.slots.fill(None);
+        self.keys.fill(EMPTY);
+        self.hashes.fill(0);
+        self.stamps.fill(0);
     }
 
     /// Iterate over the valid records, in slot order.
     pub fn records(&self) -> impl Iterator<Item = BlockRecord> + '_ {
-        self.slots.iter().flatten().map(|s| s.record)
+        (0..self.capacity())
+            .filter(|&i| self.stamps[i] != 0)
+            .map(|i| self.record(i))
     }
 
     /// Serialize the table — entries, recency stamps and search-order
     /// state — for checkpoint serialization.
     pub fn encode_into(&self, e: &mut Enc) {
-        e.usize(self.slots.len());
+        e.usize(self.capacity());
         e.u64(self.clock);
         e.usize(self.mru);
-        for slot in &self.slots {
-            match slot {
-                None => e.bool(false),
-                Some(s) => {
-                    e.bool(true);
-                    e.u32(s.record.key.start);
-                    e.u32(s.record.key.end);
-                    e.u32(s.record.hash);
-                    e.u64(s.stamp);
-                }
+        for i in 0..self.capacity() {
+            if self.stamps[i] == 0 {
+                e.bool(false);
+            } else {
+                let r = self.record(i);
+                e.bool(true);
+                e.u32(r.key.start);
+                e.u32(r.key.end);
+                e.u32(r.hash);
+                e.u64(self.stamps[i]);
             }
         }
     }
@@ -234,8 +270,9 @@ impl Iht {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncation, a zero capacity, or an
-    /// out-of-range MRU index.
+    /// [`CodecError`] on truncation, a zero capacity, an out-of-range
+    /// MRU index, a malformed block key, or a valid slot with the
+    /// invalid slots' recency stamp 0.
     pub fn decode_from(d: &mut Dec<'_>) -> Result<Iht, CodecError> {
         let capacity = d.usize()?;
         if capacity == 0 {
@@ -252,9 +289,16 @@ impl Iht {
         }
         // Cap the pre-allocation: a corrupt capacity fails on the first
         // truncated slot read instead of aborting in the allocator.
-        let mut slots = Vec::with_capacity(capacity.min(1 << 16));
+        let reserve = capacity.min(1 << 16);
+        let mut iht = Iht {
+            keys: Vec::with_capacity(reserve),
+            hashes: Vec::with_capacity(reserve),
+            stamps: Vec::with_capacity(reserve),
+            clock,
+            mru,
+        };
         for _ in 0..capacity {
-            slots.push(if d.bool()? {
+            let (key, hash, stamp) = if d.bool()? {
                 let start = d.u32()?;
                 let end = d.u32()?;
                 let hash = d.u32()?;
@@ -266,18 +310,20 @@ impl Iht {
                         what: "IHT block key",
                     });
                 }
-                Some(Slot {
-                    record: BlockRecord {
-                        key: BlockKey::new(start, end),
-                        hash,
-                    },
-                    stamp,
-                })
+                if stamp == 0 {
+                    return Err(CodecError::Invalid {
+                        what: "IHT recency stamp",
+                    });
+                }
+                (pack(BlockKey::new(start, end)), hash, stamp)
             } else {
-                None
-            });
+                (EMPTY, 0, 0)
+            };
+            iht.keys.push(key);
+            iht.hashes.push(hash);
+            iht.stamps.push(stamp);
         }
-        Ok(Iht { slots, clock, mru })
+        Ok(iht)
     }
 }
 
@@ -430,5 +476,27 @@ mod tests {
         let mut z = Enc::new();
         z.usize(0);
         assert!(Iht::decode_from(&mut Dec::new(&z.into_bytes())).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_a_valid_slot_with_stamp_zero() {
+        // Stamp 0 marks an invalid slot, and the clock's first tick is
+        // 1, so no encoded valid slot carries it.
+        let mut e = Enc::new();
+        e.usize(1);
+        e.u64(5);
+        e.usize(0);
+        e.bool(true);
+        e.u32(0x1000);
+        e.u32(0x1008);
+        e.u32(0xaa);
+        e.u64(0);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            Iht::decode_from(&mut Dec::new(&bytes)).unwrap_err(),
+            CodecError::Invalid {
+                what: "IHT recency stamp"
+            }
+        );
     }
 }

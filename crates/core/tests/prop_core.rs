@@ -164,6 +164,77 @@ proptest! {
         prop_assert_eq!(iht.probe(key(fresh)), Some(record));
     }
 
+    /// Victim selection against a slot-level recency model updated per
+    /// operation: every slot's record, plus the valid slots listed
+    /// stalest first (a hit or a write moves a slot to the back). After
+    /// every lookup, `insert_lru` and `replace_at`, each prefix
+    /// `lru_prefix_into(k)` is the model's invalid slots in index
+    /// order followed by its recency list, and `insert_lru` evicts the
+    /// model's head and lands in that slot.
+    #[test]
+    fn victims_follow_a_recency_model(
+        cap in prop::sample::select(vec![1usize, 2, 3, 5, 8, 13, 40]),
+        ops in prop::collection::vec(
+            (0u8..4, 0u8..48, any::<u8>(), 0usize..40),
+            0..200,
+        ),
+    ) {
+        let mut iht = Iht::new(cap);
+        let mut slots: Vec<Option<BlockRecord>> = vec![None; cap];
+        let mut recency: Vec<usize> = Vec::new();
+        let touch = |recency: &mut Vec<usize>, slot: usize| {
+            recency.retain(|&s| s != slot);
+            recency.push(slot);
+        };
+        let mut prefix = Vec::new();
+        for (kind, start, hash, at) in ops {
+            let record = BlockRecord { key: key(start), hash: u32::from(hash % 4) };
+            let resident = slots.iter().position(|s| s.is_some_and(|r| r.key == record.key));
+            match kind {
+                0 | 1 => {
+                    // Lookup: only a hit refreshes.
+                    iht.lookup(record.key, record.hash);
+                    if let Some(slot) = resident {
+                        if slots[slot].is_some_and(|r| r.hash == record.hash) {
+                            touch(&mut recency, slot);
+                        }
+                    }
+                }
+                2 => {
+                    let (slot, evicted) = match resident {
+                        Some(slot) => (slot, None),
+                        None => {
+                            let head = (0..cap)
+                                .find(|&s| slots[s].is_none())
+                                .unwrap_or_else(|| recency[0]);
+                            (head, slots[head])
+                        }
+                    };
+                    prop_assert_eq!(iht.insert_lru(record), evicted);
+                    slots[slot] = Some(record);
+                    touch(&mut recency, slot);
+                }
+                _ => {
+                    // `replace_at` a slot, keeping keys unique.
+                    let slot = at % cap;
+                    if resident.is_none() || resident == Some(slot) {
+                        iht.replace_at(slot, record);
+                        slots[slot] = Some(record);
+                        touch(&mut recency, slot);
+                    }
+                }
+            }
+            let mut order: Vec<usize> = (0..cap).filter(|&s| slots[s].is_none()).collect();
+            order.extend(&recency);
+            for k in 0..=cap + 1 {
+                iht.lru_prefix_into(k, &mut prefix);
+                prop_assert_eq!(&prefix[..], &order[..k.min(cap)]);
+            }
+            let held: Vec<BlockRecord> = slots.iter().flatten().copied().collect();
+            prop_assert_eq!(iht.records().collect::<Vec<_>>(), held);
+        }
+    }
+
     /// LRU replacement never evicts the most-recently-hit entry: after
     /// any operation history, a successful hit refreshes an entry's
     /// recency, so a subsequent capacity eviction must pick a victim
@@ -313,6 +384,10 @@ fn arb_rendering() -> impl Strategy<Value = String> {
         .prop_map(|(parts, raw)| parts.concat() + &String::from_utf8_lossy(&raw))
 }
 
+/// Tags of variants that no longer exist: stored rows carrying them
+/// decode as unknown.
+const REMOVED_KINDS: [&str; 2] = ["checkpoint-spill", "snapshot-corrupt"];
+
 /// One value of the variant tagged `tag`, its payload drawn from `n`
 /// and `text`.
 fn variant(tag: &str, n: u64, text: &str) -> SimError {
@@ -325,10 +400,6 @@ fn variant(tag: &str, n: u64, text: &str) -> SimError {
             word: (n >> 32) as u32,
         },
         "memory-bounds" => SimError::MemoryBounds { addr: n as u32 },
-        "snapshot-corrupt" => SimError::SnapshotCorrupt {
-            expected: n as u32,
-            found: (n >> 32) as u32,
-        },
         "worker-panic" => SimError::WorkerPanic {
             site: ["sweep", "campaign", "serve"][(n % 3) as usize],
             message,
@@ -350,29 +421,34 @@ fn variant(tag: &str, n: u64, text: &str) -> SimError {
 
 proptest! {
     /// Arbitrary wire pairs — every live tag, the removed
-    /// `checkpoint-spill` tag, and unknown tags — decode to `None` or
-    /// to a value of the tag asked for that re-renders to itself.
-    /// Never a panic.
+    /// `checkpoint-spill` and `snapshot-corrupt` tags, and unknown tags
+    /// — decode to `None` or to a value of the tag asked for that
+    /// re-renders to itself. Never a panic.
     #[test]
     fn wire_decoding_of_arbitrary_strings_never_panics(
         tag_idx in any::<prop::sample::Index>(),
         text in arb_rendering(),
     ) {
         let mut tags: Vec<&str> = SimError::KINDS.to_vec();
-        tags.extend(["checkpoint-spill", "", "warp-core"]);
+        tags.extend(REMOVED_KINDS);
+        tags.extend(["", "warp-core"]);
         let tag = tags[tag_idx.index(tags.len())];
         if let Some(e) = SimError::from_wire(tag, &text) {
             prop_assert_eq!(e.kind(), tag);
             prop_assert_eq!(SimError::from_wire(e.kind(), &e.to_string()), Some(e));
         }
-        prop_assert_eq!(SimError::from_wire("checkpoint-spill", &text), None);
+        for removed in REMOVED_KINDS {
+            prop_assert_eq!(SimError::from_wire(removed, &text), None);
+        }
     }
 
     /// Every kind tag round-trips through its wire form for arbitrary
     /// payloads.
     #[test]
     fn every_kind_tag_round_trips(n in any::<u64>(), text in arb_rendering()) {
-        prop_assert!(!SimError::KINDS.contains(&"checkpoint-spill"));
+        for removed in REMOVED_KINDS {
+            prop_assert!(!SimError::KINDS.contains(&removed));
+        }
         for tag in SimError::KINDS {
             let e = variant(tag, n, &text);
             prop_assert_eq!(e.kind(), tag);

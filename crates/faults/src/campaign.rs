@@ -46,9 +46,7 @@
 //! previous one. They carry no block-event log: the checkpointing run
 //! records blocks only to build the touch map and drains each window's
 //! events before the snapshot that ends it, and restarted runs do not
-//! record at all. A snapshot whose restore fails its integrity checksum
-//! degrades that one faulted run to a from-scratch execution —
-//! classifications never change, only `saved_cycles` shrinks.
+//! record at all.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -543,11 +541,8 @@ impl Campaign {
                     return (Outcome::Hung, max_cycles);
                 }
                 let mut cpu = self.processor_with(&self.fht, max_cycles, max_wall, false);
-                if cpu.restore(&cp.snaps[w - 1]).is_err() {
-                    // A corrupted checkpoint must never change the
-                    // classification: degrade to a from-scratch run.
-                    return (self.run_one_walled(plan, max_cycles, max_wall), 0);
-                }
+                cpu.restore(&cp.snaps[w - 1])
+                    .unwrap_or_else(|never| match never {});
                 match plan.site {
                     FaultSite::StoredImage => {
                         for f in &plan.flips {

@@ -5,14 +5,16 @@
 //! the OS loader (`cimon-hashgen` implements the post-link tool) — and
 //! attached to the application image.
 
-use std::collections::BTreeMap;
-
 use cimon_core::{BlockKey, BlockRecord};
 
 /// Memory-resident table of every expected `(start, end) → hash` entry.
+///
+/// Held as one slice of records sorted by key, so a lookup is a binary
+/// search and the records following a block in address order — the
+/// refill's prefetch candidates — are the slice after it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FullHashTable {
-    map: BTreeMap<BlockKey, u32>,
+    records: Vec<BlockRecord>,
 }
 
 impl FullHashTable {
@@ -23,64 +25,61 @@ impl FullHashTable {
 
     /// Build from records; later duplicates overwrite earlier ones.
     pub fn from_records(records: impl IntoIterator<Item = BlockRecord>) -> FullHashTable {
-        let mut t = FullHashTable::new();
-        for r in records {
-            t.insert(r);
-        }
-        t
+        let mut records: Vec<BlockRecord> = records.into_iter().collect();
+        // Stable, so equal keys keep their input order and the merge
+        // below leaves the last one's hash.
+        records.sort_by_key(|r| r.key);
+        records.dedup_by(|later, kept| {
+            let same = later.key == kept.key;
+            if same {
+                kept.hash = later.hash;
+            }
+            same
+        });
+        FullHashTable { records }
     }
 
     /// Insert or update one record.
     pub fn insert(&mut self, record: BlockRecord) {
-        self.map.insert(record.key, record.hash);
+        match self.records.binary_search_by_key(&record.key, |r| r.key) {
+            Ok(i) => self.records[i].hash = record.hash,
+            Err(i) => self.records.insert(i, record),
+        }
+    }
+
+    /// Index of `key`'s record in [`FullHashTable::records`], if known.
+    pub fn find(&self, key: BlockKey) -> Option<usize> {
+        self.records.binary_search_by_key(&key, |r| r.key).ok()
     }
 
     /// The expected hash for a block, if known.
     pub fn lookup(&self, key: BlockKey) -> Option<u32> {
-        self.map.get(&key).copied()
+        self.find(key).map(|i| self.records[i].hash)
     }
 
     /// Whether the block is known.
     pub fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+        self.find(key).is_some()
     }
 
-    /// Up to `n` records that follow `key` in address order — the
-    /// sequential-prefetch candidates a refill brings in alongside the
-    /// missing block.
-    pub fn successors(&self, key: BlockKey, n: usize) -> Vec<BlockRecord> {
-        self.successors_iter(key, n).collect()
-    }
-
-    /// [`FullHashTable::successors`] without materialising a `Vec` —
-    /// the refill path runs on every IHT miss, so its candidate walk
-    /// must not allocate.
-    pub fn successors_iter(
-        &self,
-        key: BlockKey,
-        n: usize,
-    ) -> impl Iterator<Item = BlockRecord> + '_ {
-        self.map
-            .range((std::ops::Bound::Excluded(key), std::ops::Bound::Unbounded))
-            .take(n)
-            .map(|(&key, &hash)| BlockRecord { key, hash })
+    /// Every record, in address order.
+    pub fn records(&self) -> &[BlockRecord] {
+        &self.records
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.records.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.records.is_empty()
     }
 
     /// All records in address order.
     pub fn iter(&self) -> impl Iterator<Item = BlockRecord> + '_ {
-        self.map
-            .iter()
-            .map(|(&key, &hash)| BlockRecord { key, hash })
+        self.records.iter().copied()
     }
 
     /// Size of the table as attached to the image, in bytes: three words
@@ -135,25 +134,45 @@ mod tests {
     #[test]
     fn successors_follow_address_order() {
         let fht = FullHashTable::from_records([
-            rec(0x1000, 1),
-            rec(0x2000, 2),
-            rec(0x3000, 3),
             rec(0x4000, 4),
+            rec(0x2000, 2),
+            rec(0x1000, 1),
+            rec(0x3000, 3),
         ]);
-        let next = fht.successors(BlockKey::new(0x2000, 0x2004), 2);
+        let i = fht.find(BlockKey::new(0x2000, 0x2004)).unwrap();
+        let next = &fht.records()[i + 1..];
         assert_eq!(next.len(), 2);
         assert_eq!(next[0].key.start, 0x3000);
         assert_eq!(next[1].key.start, 0x4000);
-        // Tail: fewer than n available.
-        assert_eq!(fht.successors(BlockKey::new(0x4000, 0x4004), 5).len(), 0);
+        // Tail: nothing follows the last record.
+        let last = fht.find(BlockKey::new(0x4000, 0x4004)).unwrap();
+        assert!(fht.records()[last + 1..].is_empty());
+        assert_eq!(fht.find(BlockKey::new(0x2000, 0x2008)), None);
     }
 
     #[test]
-    fn successors_of_unknown_key_still_work() {
-        let fht = FullHashTable::from_records([rec(0x1000, 1), rec(0x3000, 3)]);
-        let next = fht.successors(BlockKey::new(0x2000, 0x2004), 4);
-        assert_eq!(next.len(), 1);
-        assert_eq!(next[0].key.start, 0x3000);
+    fn insert_keeps_address_order_and_updates_in_place() {
+        let mut fht = FullHashTable::new();
+        for r in [
+            rec(0x3000, 3),
+            rec(0x1000, 1),
+            rec(0x4000, 4),
+            rec(0x1000, 9),
+        ] {
+            fht.insert(r);
+        }
+        let starts: Vec<u32> = fht.iter().map(|r| r.key.start).collect();
+        assert_eq!(starts, vec![0x1000, 0x3000, 0x4000]);
+        assert_eq!(fht.lookup(BlockKey::new(0x1000, 0x1004)), Some(9));
+        assert_eq!(
+            fht,
+            FullHashTable::from_records([
+                rec(0x3000, 3),
+                rec(0x1000, 1),
+                rec(0x4000, 4),
+                rec(0x1000, 9)
+            ])
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use cimon_core::{BlockKey, BlockRecord, Cic};
+use cimon_core::{BlockKey, Cic};
 use cimon_isa::codec::{CodecError, Dec, Enc};
 
 use crate::fht::FullHashTable;
@@ -201,29 +201,26 @@ impl OsKernel {
     pub fn handle_miss(&mut self, cic: &mut Cic, key: BlockKey, actual: u32) -> MissResolution {
         self.stats.miss_exceptions += 1;
         self.stats.exception_cycles += self.cost.cycles;
-        match self.fht.lookup(key) {
-            None => MissResolution::Terminate(TerminationCause::UnknownBlock { block: key }),
-            Some(expected) if expected != actual => {
-                MissResolution::Terminate(TerminationCause::HashMismatch {
-                    block: key,
-                    expected,
-                    actual,
-                })
-            }
-            Some(expected) => {
-                let written = self.policy.refill(
-                    cic.iht_mut(),
-                    &self.fht,
-                    BlockRecord {
-                        key,
-                        hash: expected,
-                    },
-                );
-                self.stats.entries_refilled += written as u64;
-                MissResolution::Refilled {
-                    entries_written: written,
-                }
-            }
+        // One binary search finds the record and, right after it, the
+        // refill's prefetch candidates.
+        let records = self.fht.records();
+        let Some(i) = self.fht.find(key) else {
+            return MissResolution::Terminate(TerminationCause::UnknownBlock { block: key });
+        };
+        let expected = records[i];
+        if expected.hash != actual {
+            return MissResolution::Terminate(TerminationCause::HashMismatch {
+                block: key,
+                expected: expected.hash,
+                actual,
+            });
+        }
+        let written = self
+            .policy
+            .refill(cic.iht_mut(), &records[i + 1..], expected);
+        self.stats.entries_refilled += written as u64;
+        MissResolution::Refilled {
+            entries_written: written,
         }
     }
 
@@ -247,7 +244,7 @@ impl OsKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cimon_core::CicConfig;
+    use cimon_core::{BlockRecord, CicConfig};
 
     fn rec(start: u32, hash: u32) -> BlockRecord {
         BlockRecord {

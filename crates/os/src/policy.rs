@@ -11,8 +11,6 @@ use cimon_isa::codec::{CodecError, Dec, Enc};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fht::FullHashTable;
-
 /// Config-friendly selector for a refill policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RefillPolicyKind {
@@ -113,11 +111,13 @@ impl PolicyState {
 /// Strategy the OS uses to refill the IHT after a hash miss.
 ///
 /// `missing` is the record of the block whose lookup missed (already
-/// verified present in the FHT by the kernel). Implementations must
-/// install `missing` and may prefetch more records.
+/// verified present in the FHT by the kernel), and `successors` are the
+/// FHT records that follow it in address order — strictly increasing
+/// keys, none equal to `missing`'s. Implementations must install
+/// `missing` and may prefetch from `successors`.
 pub trait RefillPolicy {
     /// Refill `iht`; returns the number of entries written.
-    fn refill(&mut self, iht: &mut Iht, fht: &FullHashTable, missing: BlockRecord) -> usize;
+    fn refill(&mut self, iht: &mut Iht, successors: &[BlockRecord], missing: BlockRecord) -> usize;
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -148,30 +148,27 @@ pub struct ReplaceHalfLru {
 }
 
 impl RefillPolicy for ReplaceHalfLru {
-    fn refill(&mut self, iht: &mut Iht, fht: &FullHashTable, missing: BlockRecord) -> usize {
+    fn refill(&mut self, iht: &mut Iht, successors: &[BlockRecord], missing: BlockRecord) -> usize {
         let half = iht.capacity().div_ceil(2);
-        iht.lru_order_into(&mut self.victims);
-        self.victims.truncate(half);
+        iht.lru_prefix_into(half, &mut self.victims);
         // Prefetch the blocks following the missing one, skipping any
         // already resident so the refill does not duplicate entries.
+        // `successors` are distinct and all after `missing`, so none
+        // repeats an incoming record.
         self.incoming.clear();
         self.incoming.push(missing);
-        for r in fht.successors_iter(missing.key, half.saturating_sub(1) * 2) {
+        for &r in successors.iter().take(half.saturating_sub(1) * 2) {
             if self.incoming.len() == half {
                 break;
             }
-            if iht.probe(r.key).is_none() && !self.incoming.iter().any(|i| i.key == r.key) {
+            if iht.probe(r.key).is_none() {
                 self.incoming.push(r);
             }
         }
-        let mut written = 0;
         for (&slot, &record) in self.victims.iter().zip(&self.incoming) {
-            // The victim slot may hold one of the prefetched keys'
-            // duplicates — replace_at overwrites unconditionally.
             iht.replace_at(slot, record);
-            written += 1;
         }
-        written
+        self.incoming.len().min(self.victims.len())
     }
 
     fn name(&self) -> &'static str {
@@ -185,7 +182,12 @@ impl RefillPolicy for ReplaceHalfLru {
 pub struct SingleLru;
 
 impl RefillPolicy for SingleLru {
-    fn refill(&mut self, iht: &mut Iht, _fht: &FullHashTable, missing: BlockRecord) -> usize {
+    fn refill(
+        &mut self,
+        iht: &mut Iht,
+        _successors: &[BlockRecord],
+        missing: BlockRecord,
+    ) -> usize {
         iht.insert_lru(missing);
         1
     }
@@ -202,7 +204,12 @@ pub struct Fifo {
 }
 
 impl RefillPolicy for Fifo {
-    fn refill(&mut self, iht: &mut Iht, _fht: &FullHashTable, missing: BlockRecord) -> usize {
+    fn refill(
+        &mut self,
+        iht: &mut Iht,
+        _successors: &[BlockRecord],
+        missing: BlockRecord,
+    ) -> usize {
         let slot = self.next % iht.capacity();
         self.next = (self.next + 1) % iht.capacity();
         iht.replace_at(slot, missing);
@@ -240,7 +247,12 @@ impl RandomReplace {
 }
 
 impl RefillPolicy for RandomReplace {
-    fn refill(&mut self, iht: &mut Iht, _fht: &FullHashTable, missing: BlockRecord) -> usize {
+    fn refill(
+        &mut self,
+        iht: &mut Iht,
+        _successors: &[BlockRecord],
+        missing: BlockRecord,
+    ) -> usize {
         let slot = self.rng.gen_range(0..iht.capacity());
         iht.replace_at(slot, missing);
         1
@@ -273,8 +285,13 @@ mod tests {
         }
     }
 
-    fn fht() -> FullHashTable {
-        (0..16u32).map(|i| rec(0x1000 + i * 0x20, i)).collect()
+    /// The records of a 16-block FHT that follow `missing` in address
+    /// order: what the kernel hands a policy on a miss.
+    fn after(missing: BlockRecord) -> Vec<BlockRecord> {
+        (0..16u32)
+            .map(|i| rec(0x1000 + i * 0x20, i))
+            .filter(|r| r.key > missing.key)
+            .collect()
     }
 
     #[test]
@@ -282,7 +299,7 @@ mod tests {
         let mut iht = Iht::new(8);
         let mut pol = ReplaceHalfLru::default();
         let missing = rec(0x1000 + 4 * 0x20, 4);
-        let written = pol.refill(&mut iht, &fht(), missing);
+        let written = pol.refill(&mut iht, &after(missing), missing);
         assert_eq!(written, 4); // half of 8
         assert!(iht.probe(missing.key).is_some());
         // Prefetched successors 5, 6, 7:
@@ -303,7 +320,8 @@ mod tests {
         iht.lookup(BlockKey::new(0x9020, 0x9024), 2);
         iht.lookup(BlockKey::new(0x9030, 0x9034), 3);
         let mut pol = ReplaceHalfLru::default();
-        pol.refill(&mut iht, &fht(), rec(0x1000, 0));
+        let missing = rec(0x1000, 0);
+        pol.refill(&mut iht, &after(missing), missing);
         // MRU half survives.
         assert!(iht.probe(BlockKey::new(0x9020, 0x9024)).is_some());
         assert!(iht.probe(BlockKey::new(0x9030, 0x9034)).is_some());
@@ -316,7 +334,8 @@ mod tests {
     fn replace_half_on_one_entry_table() {
         let mut iht = Iht::new(1);
         let mut pol = ReplaceHalfLru::default();
-        let written = pol.refill(&mut iht, &fht(), rec(0x1000, 0));
+        let missing = rec(0x1000, 0);
+        let written = pol.refill(&mut iht, &after(missing), missing);
         assert_eq!(written, 1);
         assert_eq!(iht.len(), 1);
     }
@@ -328,7 +347,8 @@ mod tests {
         let resident = rec(0x1000 + 5 * 0x20, 5);
         iht.insert_lru(resident);
         let mut pol = ReplaceHalfLru::default();
-        pol.refill(&mut iht, &fht(), rec(0x1000 + 4 * 0x20, 4));
+        let missing = rec(0x1000 + 4 * 0x20, 4);
+        pol.refill(&mut iht, &after(missing), missing);
         let count = iht.records().filter(|r| r.key == resident.key).count();
         assert_eq!(count, 1, "resident block duplicated");
     }
@@ -337,7 +357,7 @@ mod tests {
     fn single_lru_touches_one_slot() {
         let mut iht = Iht::new(4);
         let mut pol = SingleLru;
-        assert_eq!(pol.refill(&mut iht, &fht(), rec(0x1000, 0)), 1);
+        assert_eq!(pol.refill(&mut iht, &[], rec(0x1000, 0)), 1);
         assert_eq!(iht.len(), 1);
     }
 
@@ -345,9 +365,9 @@ mod tests {
     fn fifo_cycles_slots() {
         let mut iht = Iht::new(2);
         let mut pol = Fifo::default();
-        pol.refill(&mut iht, &fht(), rec(0x1000, 0));
-        pol.refill(&mut iht, &fht(), rec(0x2000, 1));
-        pol.refill(&mut iht, &fht(), rec(0x3000, 2));
+        pol.refill(&mut iht, &[], rec(0x1000, 0));
+        pol.refill(&mut iht, &[], rec(0x2000, 1));
+        pol.refill(&mut iht, &[], rec(0x3000, 2));
         // Third refill wrapped to slot 0: 0x1000 evicted.
         assert!(iht.probe(BlockKey::new(0x1000, 0x1004)).is_none());
         assert!(iht.probe(BlockKey::new(0x2000, 0x2004)).is_some());
@@ -360,7 +380,7 @@ mod tests {
             let mut iht = Iht::new(8);
             let mut pol = RandomReplace::new(seed);
             for i in 0..6u32 {
-                pol.refill(&mut iht, &fht(), rec(0x5000 + i * 0x10, i));
+                pol.refill(&mut iht, &[], rec(0x5000 + i * 0x10, i));
             }
             let mut v: Vec<u32> = iht.records().map(|r| r.key.start).collect();
             v.sort_unstable();
@@ -376,7 +396,7 @@ mod tests {
         // exact stream it was captured mid-way through.
         let mut pol = RandomReplace::new(7);
         let mut iht = Iht::new(8);
-        pol.refill(&mut iht, &fht(), rec(0x5000, 0));
+        pol.refill(&mut iht, &[], rec(0x5000, 0));
         for state in [
             PolicyState::Stateless,
             PolicyState::FifoCursor(3),

@@ -17,7 +17,7 @@
 
 use cimon_core::{BlockKey, BlockMemo, Cic};
 use cimon_isa::codec::{CodecError, Dec, Enc};
-use cimon_microop::{ExceptionKind, MonitorParams};
+use cimon_microop::ExceptionKind;
 use cimon_os::{MissResolution, OsKernel, OsKernelState, TerminationCause};
 
 use crate::processor::MonitorConfig;
@@ -97,15 +97,6 @@ impl CicMonitor {
             cic,
             os,
             stall_cycles: config.exception_cost.cycles,
-        }
-    }
-
-    /// Micro-op parameters the monitored processor spec embeds.
-    pub fn params(&self) -> MonitorParams {
-        let config = self.cic.config();
-        MonitorParams {
-            iht_entries: config.iht_entries,
-            hash_algo: config.hash_algo,
         }
     }
 
@@ -196,7 +187,7 @@ mod tests {
     fn cic_monitor_miss_refills_then_hits() {
         let fht: FullHashTable = [rec(0x1000, 7)].into_iter().collect();
         let mut m = CicMonitor::new(MonitorConfig::new(CicConfig::with_entries(4), fht));
-        assert_eq!(m.params().iht_entries, 4);
+        assert_eq!(m.cic.config().iht_entries, 4);
         let key = BlockKey::new(0x1000, 0x1008);
         // Cold table: miss, then the OS refill verdict stalls 100 cycles.
         assert_eq!(m.cic.check_block(key, 7), (false, false));

@@ -1,17 +1,18 @@
 //! The processor: functional execution, monitoring integration, and
 //! cycle accounting.
 
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cimon_core::hash::{BlockHasher, HashAlgo};
-use cimon_core::{BlockKey, BlockMemo, Cic, CicConfig, CicStats, HashAlgoKind, SimError};
+use cimon_core::{BlockKey, BlockMemo, Cic, CicConfig, CicStats, HashAlgoKind};
 use cimon_isa::codec::{CodecError, Dec, Enc};
 use cimon_isa::{semantics, Funct, IOpcode, Instr, Reg, Syscall, INSTR_BYTES};
 use cimon_mem::{FetchBus, Memory, ProgramImage};
 use cimon_microop::{
     baseline_spec, embed_monitor, execute_threaded, CompiledProgram, DReg, Datapath, ExceptionKind,
-    MicroEnv, MicroProgram, ProcessorSpec, ThreadedProgram,
+    MicroEnv, MicroProgram, MonitorParams, ProcessorSpec, ThreadedProgram,
 };
 #[cfg(feature = "interp-check")]
 use cimon_microop::{execute, WireEnv};
@@ -370,32 +371,40 @@ fn lower(program: &MicroProgram) -> Stage {
     ThreadedProgram::bind(&CompiledProgram::compile(program))
 }
 
-/// The IF program and the optional ID-check program of a spec, lowered.
+/// One spec family — the baseline, or the monitored extension — with
+/// its IF program and optional ID-check program lowered.
 struct Stages {
+    spec: ProcessorSpec,
     fetch: Stage,
     check: Option<Stage>,
 }
 
 impl Stages {
-    /// The lowered stage programs of `spec`, built once per process for
-    /// each of the two spec families and shared by every processor
-    /// after that. [`embed_monitor`] varies only a spec's name, monitor
-    /// parameters and resources with its [`MonitorParams`], never its
-    /// programs (`cimon-microop` pins this in a test), so one lowering
-    /// serves every monitored configuration.
-    ///
-    /// [`MonitorParams`]: cimon_microop::MonitorParams
-    fn shared(spec: &ProcessorSpec) -> &'static Stages {
+    /// The family's spec, validated and lowered once per process and
+    /// shared by every processor after that. [`embed_monitor`] varies
+    /// only a spec's name, monitor parameters and resources with its
+    /// [`MonitorParams`], never its programs (`cimon-microop` pins this
+    /// in a test), and validation only checks the programs' wires and
+    /// resources, so one spec built from the default parameters serves
+    /// every monitored configuration.
+    fn shared(monitored: bool) -> &'static Stages {
         static BASELINE: OnceLock<Stages> = OnceLock::new();
         static MONITORED: OnceLock<Stages> = OnceLock::new();
-        let cell = if spec.is_monitored() {
-            &MONITORED
-        } else {
-            &BASELINE
-        };
-        cell.get_or_init(|| Stages {
-            fetch: lower(&spec.if_program),
-            check: spec.id_check_program.as_ref().map(lower),
+        let cell = if monitored { &MONITORED } else { &BASELINE };
+        cell.get_or_init(|| {
+            let spec = if monitored {
+                embed_monitor(&baseline_spec(), &MonitorParams::default())
+            } else {
+                baseline_spec()
+            };
+            spec.validate().unwrap_or_else(|e| {
+                unreachable!("generated spec `{}` must validate: {e}", spec.name)
+            });
+            Stages {
+                fetch: lower(&spec.if_program),
+                check: spec.id_check_program.as_ref().map(lower),
+                spec,
+            }
         })
     }
 }
@@ -615,7 +624,10 @@ pub struct ProcessorSnapshot {
     validated: Vec<u64>,
     /// CRC-32 over the architectural core of the checkpoint (registers,
     /// HI/LO, PC, counters, and every resident memory word), recorded
-    /// at capture time and re-verified by [`Processor::restore`].
+    /// at capture time, written by [`ProcessorSnapshot::to_bytes`] and
+    /// checked by [`ProcessorSnapshot::from_bytes`]. A snapshot in
+    /// memory cannot change after capture (its pages are copy-on-write
+    /// and it has no mutators), so only bytes from outside are checked.
     checksum: u32,
 }
 
@@ -630,9 +642,10 @@ impl ProcessorSnapshot {
         self.checksum
     }
 
-    /// Recompute the integrity checksum over the snapshot's current
-    /// contents. Equal to [`ProcessorSnapshot::checksum`] unless the
-    /// snapshot was corrupted after capture.
+    /// Recompute the integrity checksum over the snapshot's contents.
+    /// Always equal to [`ProcessorSnapshot::checksum`]: the recorded
+    /// value is what [`ProcessorSnapshot::from_bytes`] checks decoded
+    /// bytes against.
     pub fn compute_checksum(&self) -> u32 {
         let mut hasher = HashAlgo::new(HashAlgoKind::Crc32, 0);
         hasher.update_block(&self.regs.snapshot());
@@ -645,14 +658,6 @@ impl ProcessorSnapshot {
         hasher.update((self.fetch_count >> 32) as u32);
         self.mem.visit_resident_words(|word| hasher.update(word));
         hasher.digest()
-    }
-
-    /// Flip one bit of the snapshot's captured memory, leaving the
-    /// recorded checksum stale — the fault model of a checkpoint
-    /// corrupted at rest. Restore is guaranteed to notice; the
-    /// integrity tests are built on this.
-    pub fn corrupt_bit(&mut self, addr: u32, bit: u8) {
-        self.mem.flip_bit(addr, bit);
     }
 
     /// PC at the checkpoint.
@@ -982,9 +987,8 @@ impl std::fmt::Debug for ProcessorSnapshot {
 
 /// The single-issue 6-stage processor.
 pub struct Processor {
-    spec: ProcessorSpec,
-    /// The spec's stage programs in indexed + threaded form, shared
-    /// process-wide ([`Stages::shared`]).
+    /// The spec family in use, its stage programs in indexed +
+    /// threaded form, shared process-wide ([`Stages::shared`]).
     stages: &'static Stages,
     /// Wire-slot scratch shared by both stage programs, reused every
     /// cycle.
@@ -1045,7 +1049,7 @@ pub const DEFAULT_WATCHDOG_POLL_BITS: u32 = 16;
 impl std::fmt::Debug for Processor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Processor")
-            .field("spec", &self.spec.name)
+            .field("monitored", &self.env.monitor.is_some())
             .field("pc", &format_args!("{:#010x}", self.pc))
             .field("instret", &self.instret)
             .field("cycles", &self.timing.cycles())
@@ -1056,30 +1060,15 @@ impl std::fmt::Debug for Processor {
 
 impl Processor {
     /// Build a processor, load the image, and point the PC at its entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the monitored spec fails validation — impossible for
-    /// specs produced by [`embed_monitor`], and a programming error
-    /// otherwise.
     pub fn new(image: &ProgramImage, config: ProcessorConfig) -> Processor {
         let monitor = config.monitor.map(CicMonitor::new);
-        let spec = match &monitor {
-            None => baseline_spec(),
-            Some(m) => {
-                let spec = embed_monitor(&baseline_spec(), &m.params());
-                spec.validate()
-                    .unwrap_or_else(|e| unreachable!("embedded monitor spec must validate: {e}"));
-                spec
-            }
-        };
+        let stages = Stages::shared(monitor.is_some());
         let mut dp = Datapath::new();
         dp.rhash_seed = monitor.as_ref().map_or(0, |m| m.cic.hash_reset_value());
         dp.reset(DReg::Rhash);
         let mut regs = RegFile::new();
         regs.write(Reg::SP, cimon_mem::image::STACK_TOP);
         regs.write(Reg::GP, image.data.base);
-        let stages = Stages::shared(&spec);
         let slot_count = stages
             .fetch
             .slot_count()
@@ -1117,7 +1106,6 @@ impl Processor {
             None => Vec::new(),
         };
         Processor {
-            spec,
             stages,
             slots: vec![0; slot_count],
             predecoded,
@@ -1189,11 +1177,6 @@ impl Processor {
     /// execution is off or never engaged).
     pub fn block_stats(&self) -> BlockExecStats {
         self.block_stats
-    }
-
-    /// The generated processor specification in use.
-    pub fn spec(&self) -> &ProcessorSpec {
-        &self.spec
     }
 
     /// Cycles elapsed so far.
@@ -1296,20 +1279,12 @@ impl Processor {
     /// differ). Configuration (specs, caches, budget, watchdog, block
     /// recording) and any installed bus tap are left untouched.
     ///
-    /// # Errors
-    ///
-    /// The snapshot's integrity checksum is re-verified before any
-    /// processor state is touched; a snapshot corrupted after capture
-    /// returns [`SimError::SnapshotCorrupt`] and leaves the processor
-    /// exactly as it was.
-    pub fn restore(&mut self, snapshot: &ProcessorSnapshot) -> Result<(), SimError> {
-        let found = snapshot.compute_checksum();
-        if found != snapshot.checksum {
-            return Err(SimError::SnapshotCorrupt {
-                expected: snapshot.checksum,
-                found,
-            });
-        }
+    /// Restoring cannot fail: a snapshot is either this process's own
+    /// capture or bytes that passed [`ProcessorSnapshot::from_bytes`]'s
+    /// integrity check, so it is adopted as it stands. The error type
+    /// is uninhabited; the `Result` only keeps callers written against
+    /// a fallible restore (`?`, `map_err`) compiling.
+    pub fn restore(&mut self, snapshot: &ProcessorSnapshot) -> Result<(), Infallible> {
         debug_assert_eq!(self.validated.len(), snapshot.validated.len());
         self.dp = snapshot.dp.clone();
         self.regs = snapshot.regs.clone();
@@ -1405,7 +1380,7 @@ impl Processor {
         // ---- IF: run the spec's micro-program (fetch, latch, hash). ----
         run_stage(
             &self.stages.fetch,
-            &self.spec,
+            &self.stages.spec,
             true,
             &mut self.dp,
             &mut self.env,
@@ -1451,7 +1426,7 @@ impl Processor {
             if let Some(stage) = &self.stages.check {
                 run_stage(
                     stage,
-                    &self.spec,
+                    &self.stages.spec,
                     false,
                     &mut self.dp,
                     &mut self.env,

@@ -22,6 +22,7 @@ use proptest::prelude::*;
 use cimon_asm::assemble;
 use cimon_core::hash::hash_words;
 use cimon_core::{BlockRecord, CicConfig, HashAlgoKind};
+use cimon_isa::codec::CodecError;
 use cimon_os::FullHashTable;
 use cimon_pipeline::{BlockExec, Processor, ProcessorConfig, ProcessorSnapshot};
 
@@ -230,28 +231,32 @@ proptest! {
         byte_idx in any::<prop::sample::Index>(),
         bit in 0u8..8,
     ) {
-        // A snapshot whose memory is bit-flipped after capture must be
-        // rejected by the restore-time integrity checksum — never
-        // silently accepted to produce a divergent run.
+        // A snapshot is checked where its bytes come back from outside
+        // the process: one bit flipped in a memory word of the
+        // checksummed core must fail `from_bytes` with the typed
+        // integrity error — never decode into a divergent run.
         let prog = assemble(&p.source).expect("generated program assembles");
+        let text = &prog.image.text.bytes;
         let fht = trace_fht(&prog.image);
         for config in variants(fht) {
             let mut donor = Processor::new(&prog.image, config.clone());
             if donor.run_to_instret(cut).is_some() {
                 continue;
             }
-            let mut snap = donor.snapshot();
-            let addr = prog.image.text.base
-                + byte_idx.index(prog.image.text.bytes.len()) as u32;
-            snap.corrupt_bit(addr, bit);
-            let mut clone = Processor::new(&prog.image, config.clone());
-            let err = clone.restore(&snap).expect_err("corrupt snapshot must be rejected");
-            prop_assert_eq!(err.kind(), "snapshot-corrupt");
-            // And the rejection happens before any state is adopted:
-            // the clone still restores cleanly from an intact snapshot.
-            let intact = donor.snapshot();
-            clone.restore(&intact).expect("intact snapshot restores");
-            prop_assert_eq!(clone.instret(), donor.instret());
+            let mut bytes = donor.snapshot().to_bytes();
+            // The program never writes its text, so the dense memory
+            // region carries it verbatim.
+            let at = bytes
+                .windows(text.len())
+                .position(|w| w == &text[..])
+                .expect("the text segment is in the encoded memory");
+            bytes[at + byte_idx.index(text.len())] ^= 1 << bit;
+            prop_assert_eq!(
+                ProcessorSnapshot::from_bytes(&bytes).map(|s| s.instret()),
+                Err(CodecError::Invalid {
+                    what: "snapshot integrity checksum"
+                })
+            );
         }
     }
 
