@@ -369,32 +369,49 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 fn bench_block_dispatch(c: &mut Criterion) {
-    // The block-dispatch loop on its own: one 1M-instruction corpus
-    // program (seed 1, as the benchmark's `long-run` runs it) per
-    // iteration, baseline and CIC-8. Its blocks carry data stores and
-    // same-value stores into the text, so every block path runs. The
-    // throughput is per retired instruction: ns/elem is the cost of one
-    // simulated instruction.
-    let image = cimon_workloads::corpus::large(1).assemble().image;
-    let fht = std::sync::Arc::new(cimon_sim::build_fht(&image, &SimConfig::default()).unwrap());
+    // The block-dispatch loop on its own, one whole run per iteration,
+    // baseline and CIC-8, on three programs:
+    // - `baseline`/`cic8`: the 1M-instruction corpus program of seed 1,
+    //   as the benchmark's `long-run` runs it. Its blocks carry data
+    //   stores and same-value stores into the text, so every block path
+    //   runs.
+    // - `seed3-*`: corpus seed 3 at 1M instructions, the heaviest
+    //   same-value text writer (about one text store every other
+    //   dispatch). It shows what a store that leaves the text unchanged
+    //   costs the dispatch loop.
+    // - `stringsearch-*`: a registry program that never writes its
+    //   text, so it shows the exec body alone.
+    // The throughput is per retired instruction: ns/elem is the cost of
+    // one simulated instruction.
+    let programs = [
+        ("", cimon_workloads::corpus::large(1).assemble().image),
+        ("seed3-", cimon_workloads::corpus::large(3).assemble().image),
+        (
+            "stringsearch-",
+            (*cimon_workloads::get("stringsearch").expect("exists").image).clone(),
+        ),
+    ];
     let mut group = c.benchmark_group("block_dispatch");
     group.sample_size(10);
-    for (name, config) in [
-        ("baseline", ProcessorConfig::baseline()),
-        (
-            "cic8",
-            ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
-        ),
-    ] {
-        let mut cpu = Processor::new(&image, config.clone());
-        cpu.run();
-        group.throughput(Throughput::Elements(cpu.instret()));
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut cpu = Processor::new(&image, config.clone());
-                std::hint::black_box(cpu.run())
-            })
-        });
+    for (prefix, image) in &programs {
+        let fht = std::sync::Arc::new(cimon_sim::build_fht(image, &SimConfig::default()).unwrap());
+        for (mode, config) in [
+            ("baseline", ProcessorConfig::baseline()),
+            (
+                "cic8",
+                ProcessorConfig::monitored(CicConfig::with_entries(8), fht),
+            ),
+        ] {
+            let mut cpu = Processor::new(image, config.clone());
+            cpu.run();
+            group.throughput(Throughput::Elements(cpu.instret()));
+            group.bench_function(format!("{prefix}{mode}").as_str(), |b| {
+                b.iter(|| {
+                    let mut cpu = Processor::new(image, config.clone());
+                    std::hint::black_box(cpu.run())
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -198,10 +198,9 @@ impl SimError {
         /// data naming a pool this build does not know degrades to a
         /// recognizable placeholder instead of failing the whole row.
         fn intern_site(site: &str) -> &'static str {
-            const SITES: [&str; 7] = [
+            const SITES: [&str; 6] = [
                 "sweep",
                 "campaign",
-                "campaign-rehash",
                 "parallel-map",
                 "serve",
                 "serve-campaign",

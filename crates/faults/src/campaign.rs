@@ -35,8 +35,9 @@
 //!
 //! Soundness relies on text being accessed only through instruction
 //! fetch (and the monitor's block hashes): a program that *writes* its
-//! own text is detected via the memory generation counter and disables
-//! the fast path, while reading text as data is assumed not to happen
+//! own text — even with the bytes already there — is detected via the
+//! memory's text-write counter ([`cimon_mem::Memory::dense_writes`]) and
+//! disables the fast path, while reading text as data is assumed not to happen
 //! (true for every workload in the registry — campaign targets are
 //! executable code, which the paper's threat model also confines
 //! itself to).
@@ -52,7 +53,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cimon_core::{CicConfig, SimError};
-use cimon_mem::{Memory, ProgramImage};
+use cimon_mem::ProgramImage;
 use cimon_os::FullHashTable;
 use cimon_pipeline::{
     BlockCache, BlockExec, ConsoleEvent, Predecode, PredecodedImage, Processor, ProcessorConfig,
@@ -64,7 +65,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::inject::{BitFlip, FaultPlan, FaultSite, PlannedBusTap};
-use crate::rehash::rehash_after;
 
 /// Random fault model: how many bits flip, and where.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -342,10 +342,6 @@ pub struct Campaign {
     fht: Arc<FullHashTable>,
     predecoded: Arc<PredecodedImage>,
     blocks: Arc<BlockCache>,
-    /// The clean loaded image, shared by every authorised-patch run
-    /// (`rehash_after` applies flip masks on the fly, so no per-run
-    /// patched copy is ever materialised).
-    clean_mem: Memory,
     reference: (RunOutcome, Vec<ConsoleEvent>),
     /// Clean-run snapshots and touch map; `None` when the reference did
     /// not exit cleanly or the program writes its own text.
@@ -365,14 +361,12 @@ impl Campaign {
         let fht = fht.into();
         let predecoded = Arc::new(PredecodedImage::new(&image));
         let blocks = Arc::new(BlockCache::new(predecoded.clone()));
-        let clean_mem = image.to_memory();
         let mut campaign = Campaign {
             image,
             cic,
             fht,
             predecoded,
             blocks,
-            clean_mem,
             reference: (RunOutcome::MaxCycles, Vec::new()),
             checkpoints: None,
         };
@@ -427,7 +421,7 @@ impl Campaign {
             None,
             true,
         );
-        let text_epoch = cpu.mem().dense_epoch();
+        let text_writes = cpu.mem().dense_writes();
         let mut snaps = Vec::new();
         let mut snap_cycles = Vec::new();
         // Per window, the `[start, end]` word range of each block.
@@ -452,7 +446,7 @@ impl Campaign {
             }
         }
         drain(&mut cpu);
-        if cpu.mem().dense_epoch() != text_epoch {
+        if cpu.mem().dense_writes() != text_writes {
             return None;
         }
         let reference_cycles = cpu.cycles();
@@ -560,50 +554,6 @@ impl Campaign {
                 (self.classify(outcome, &cpu.stats().console), saved)
             }
         }
-    }
-
-    /// Run one *authorised-patch* execution: apply a stored-image plan,
-    /// incrementally re-hash only the touched FHT blocks (the paper's
-    /// OS recomputing hashes after a legitimate binary update), and run
-    /// against the patched table. The monitor must accept the modified
-    /// code — the interesting classifications are what the patch *did*
-    /// (masked, different output, hung, baseline fault), not an
-    /// integrity kill for blocks whose table entry was updated.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] if the plan targets the fetch bus —
-    /// in-flight transients are not code updates and have no table to
-    /// re-hash.
-    pub fn run_one_rehashed(&self, plan: &FaultPlan, max_cycles: u64) -> Result<Outcome, SimError> {
-        if plan.site != FaultSite::StoredImage {
-            return Err(SimError::InvalidConfig {
-                message: "re-hash campaigns model stored-image patches".into(),
-            });
-        }
-        Ok(self.rehashed_outcome(plan, max_cycles, None))
-    }
-
-    /// [`Campaign::run_one_rehashed`] after site validation.
-    fn rehashed_outcome(
-        &self,
-        plan: &FaultPlan,
-        max_cycles: u64,
-        max_wall: Option<Duration>,
-    ) -> Outcome {
-        let (patched_fht, _) = rehash_after(
-            &self.fht,
-            &self.clean_mem,
-            &plan.flips,
-            self.cic.hash_algo,
-            self.cic.hash_seed,
-        );
-        let mut cpu = self.processor_with(&Arc::new(patched_fht), max_cycles, max_wall, false);
-        for f in &plan.flips {
-            f.apply_to_memory(cpu.mem_mut());
-        }
-        let outcome = cpu.run();
-        self.classify(outcome, &cpu.stats().console)
     }
 
     fn classify(&self, outcome: RunOutcome, console: &[ConsoleEvent]) -> Outcome {
@@ -769,43 +719,6 @@ impl Campaign {
         }
         restored.sort_by_key(|&(tail, i)| (std::cmp::Reverse(tail), i));
         restored.into_iter().map(|(_, i)| i).chain(rest).collect()
-    }
-
-    /// Run a full *authorised-patch* campaign on the worker pool: the
-    /// same seeded plans as [`Campaign::run`], but each run's FHT is
-    /// incrementally re-hashed for its flips first (see
-    /// [`Campaign::run_one_rehashed`]). Stored-image sites only.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] when `config.targets` is empty or
-    /// the site is not [`FaultSite::StoredImage`].
-    pub fn run_rehashed(&self, config: &CampaignConfig) -> Result<CampaignResult, SimError> {
-        if config.targets.is_empty() {
-            return Err(SimError::InvalidConfig {
-                message: "campaign needs target addresses".into(),
-            });
-        }
-        if config.site != FaultSite::StoredImage {
-            return Err(SimError::InvalidConfig {
-                message: "re-hash campaigns model stored-image patches".into(),
-            });
-        }
-        let plans = self.plans(config);
-        let outcomes = parallel_map_isolated(&plans, default_workers(), "campaign-rehash", {
-            |i, plan| {
-                chaos::maybe_panic("campaign-rehash", i);
-                self.rehashed_outcome(plan, config.max_cycles, config.max_wall)
-            }
-        });
-        let mut result = CampaignResult::default();
-        for outcome in outcomes {
-            match outcome {
-                Ok(outcome) => result.record(outcome),
-                Err(_) => result.quarantined += 1,
-            }
-        }
-        Ok(result)
     }
 }
 
@@ -1282,67 +1195,6 @@ mod tests {
         let dead_addr = prog.symbols.get("dead").unwrap();
         let out = c.run_one(&FaultPlan::stored(dead_addr, 3), 1_000_000);
         assert_eq!(out, Outcome::Masked);
-    }
-
-    #[test]
-    fn rehashed_single_bit_patches_are_never_killed_by_the_monitor() {
-        // The paper's legitimate-update story: after the OS re-hashes
-        // the touched block, a single-bit "patch" must not trip an
-        // integrity kill. (It may still change behaviour — silent
-        // output changes, hangs, baseline faults — or turn control flow
-        // into shapes the static table never enumerated; only flips
-        // that keep the instruction a non-control-flow one are
-        // guaranteed monitor-clean, so this test targets an ALU
-        // immediate field.)
-        let (c, _) = setup(HashAlgoKind::Crc32);
-        // addu at entry+8: flip a register-field bit (bit 20, inside
-        // rt) — still a valid non-control-flow ALU instruction, so
-        // only the hash can tell it changed.
-        let addr = {
-            let prog = assemble(PROGRAM).unwrap();
-            prog.image.entry + 8
-        };
-        let plan = FaultPlan::stored(addr, 20);
-        // Unpatched: the monitor detects the tamper.
-        assert_eq!(c.run_one(&plan, 60_000), Outcome::DetectedByMonitor);
-        // Patched (table re-hashed): no monitor detection.
-        let out = c.run_one_rehashed(&plan, 60_000).unwrap();
-        assert_ne!(out, Outcome::DetectedByMonitor, "{out:?}");
-    }
-
-    #[test]
-    fn rehashed_campaign_accepts_more_runs_than_it_kills() {
-        let (c, targets) = setup(HashAlgoKind::Xor);
-        let cfg = CampaignConfig {
-            runs: 60,
-            seed: 11,
-            model: FaultModel::SingleBit,
-            site: FaultSite::StoredImage,
-            targets,
-            max_cycles: 60_000,
-            max_wall: None,
-        };
-        let tampered = c.run(&cfg).unwrap();
-        let patched = c.run_rehashed(&cfg).unwrap();
-        assert_eq!(patched.total(), 60);
-        // Re-hashing can only reduce monitor kills: every flip whose
-        // dynamic blocks exist in the static table now matches it.
-        assert!(
-            patched.detected_monitor < tampered.detected_monitor,
-            "patched {patched:?} vs tampered {tampered:?}"
-        );
-        // And runs that merely change data flow surface as masked or
-        // silent instead.
-        assert!(patched.masked + patched.silent > tampered.masked + tampered.silent);
-    }
-
-    #[test]
-    fn rehashed_bus_plans_are_rejected() {
-        let (c, _) = setup(HashAlgoKind::Xor);
-        let plan = FaultPlan::bus_transient(0x0040_0000, 1);
-        let err = c.run_one_rehashed(&plan, 1000).unwrap_err();
-        assert_eq!(err.kind(), "invalid-config");
-        assert!(err.to_string().contains("stored-image patches"), "{err}");
     }
 
     #[test]

@@ -16,19 +16,13 @@
 //!
 //! [`campaign`] runs seeded Monte-Carlo campaigns over fault models
 //! (single bit, n-bit, same-column pairs) and aggregates detection
-//! coverage, reproducing the fault analysis of Section 6.3. [`rehash`]
-//! is the flip side — legitimate code updates: it incrementally
-//! recomputes only the FHT blocks an edit touched, so an
-//! authorised-patch campaign re-hashes one block per flip instead of
-//! the whole image.
+//! coverage, reproducing the fault analysis of Section 6.3.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod campaign;
 pub mod inject;
-pub mod rehash;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignResult, FaultModel, Outcome};
 pub use inject::{BitFlip, BusFaultMode, FaultPlan, FaultSite, PlannedBusTap};
-pub use rehash::{rehash_after, RehashStats};

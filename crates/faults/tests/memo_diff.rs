@@ -37,7 +37,8 @@ use cimon_hashgen::static_fht;
 use cimon_mem::{BusTap, ProgramImage};
 use cimon_os::RefillPolicyKind;
 use cimon_pipeline::{
-    BlockExec, Processor, ProcessorConfig, ProcessorSnapshot, TimingConfig, MAX_BLOCK_LEN,
+    BlockExec, Processor, ProcessorConfig, ProcessorSnapshot, RunOutcome, TimingConfig,
+    MAX_BLOCK_LEN,
 };
 use cimon_workloads::corpus::{generate, CorpusSpec};
 
@@ -416,7 +417,9 @@ impl BusTap for KeepsDefault {
 /// fetch under block dispatch, exactly as under per-instruction
 /// stepping; one that passes its spans through is skipped by the
 /// validated block path, store-carrying blocks included, and sees only
-/// the words a block fetches after one of its stores wrote the text.
+/// the words a block fetches after one of its stores changed the text.
+/// A store of the bytes already there changes nothing, so it costs no
+/// fetch either.
 #[test]
 fn only_taps_that_pass_a_span_skip_its_fetches() {
     let cic = CicConfig {
@@ -428,7 +431,7 @@ fn only_taps_that_pass_a_span_skip_its_fetches() {
     let fetches_seen = |image: &ProgramImage, on: bool, passes: bool| {
         let seen = Rc::new(RefCell::new(0));
         let mut cpu = Processor::new(image, config(cic, policy, image, on));
-        let loaded_epoch = cpu.mem().dense_epoch();
+        let loaded = (cpu.mem().dense_writes(), cpu.mem().dense_epoch());
         let tap = CountingTap(seen.clone());
         if passes {
             cpu.set_bus_tap(Box::new(tap));
@@ -436,15 +439,16 @@ fn only_taps_that_pass_a_span_skip_its_fetches() {
             cpu.set_bus_tap(Box::new(KeepsDefault(tap)));
         }
         let outcome = cpu.run();
-        let text_writes = cpu.mem().dense_epoch() - loaded_epoch;
+        let text_writes = cpu.mem().dense_writes() - loaded.0;
+        let text_changes = cpu.mem().dense_epoch() - loaded.1;
         let seen = *seen.borrow();
-        ((outcome, cpu.stats(), seen), text_writes)
+        ((outcome, cpu.stats(), seen), text_writes, text_changes)
     };
 
     // A registry program whose blocks carry stores but never write the
     // text: a passing tap sees no fetch at all.
     let rijndael = &cimon_workloads::get("rijndael").expect("registry").image;
-    let (stepped, text_writes) = fetches_seen(rijndael, false, false);
+    let (stepped, text_writes, _) = fetches_seen(rijndael, false, false);
     assert_eq!(text_writes, 0);
     assert!(
         stepped.2 >= stepped.1.instructions,
@@ -459,17 +463,64 @@ fn only_taps_that_pass_a_span_skip_its_fetches() {
     assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
     assert_eq!(passing.2, 0, "store-carrying blocks validate in bulk");
 
-    // A corpus program with same-value stores into its own text: only
-    // the words after each such store in its own block are fetched per
-    // word; the next dispatch re-validates in bulk.
+    // A corpus program with same-value stores into its own text: they
+    // write the text but change nothing, so a passing tap sees no fetch.
     let image = generate(&CorpusSpec {
         seed: 3,
         target_dynamic_instructions: 4_000,
     })
     .assemble()
     .image;
-    let (stepped, text_writes) = fetches_seen(&image, false, false);
+    let (stepped, text_writes, text_changes) = fetches_seen(&image, false, false);
     assert!(text_writes > 0, "the program writes its text");
+    assert_eq!(text_changes, 0, "with the bytes already there");
+    assert_eq!(
+        fetches_seen(&image, true, false).0,
+        stepped,
+        "default answer"
+    );
+    let passing = fetches_seen(&image, true, true).0;
+    assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
+    assert_eq!(passing.2, 0, "same-value text stores validate in bulk");
+
+    // A program whose stores change a later word of their own block on
+    // every iteration, and put it back before it runs (so the monitor
+    // sees the words its table holds): only the words after each change
+    // in its block are fetched per word; the next dispatch re-validates
+    // in bulk.
+    let image = cimon_asm::assemble(
+        "
+        .text
+    main:
+        li   $a0, 0
+        li   $s0, 6
+    loop:
+        la   $t8, patch
+        lw   $t9, 0($t8)
+        xori $t1, $t9, 1     # the word with its immediate's low bit toggled
+        sw   $t1, 0($t8)     # change a later word of this block
+        sw   $t9, 0($t8)     # and restore it
+    patch:
+        addiu $a0, $a0, 2
+        addiu $s0, $s0, -1
+        bnez $s0, loop
+        li   $v0, 10
+        syscall
+    ",
+    )
+    .expect("self-patching loop assembles")
+    .image;
+    let (stepped, text_writes, text_changes) = fetches_seen(&image, false, false);
+    assert!(
+        matches!(stepped.0, RunOutcome::Exited { .. }),
+        "{:?}",
+        stepped.0
+    );
+    assert_eq!(
+        (text_writes, text_changes),
+        (12, 12),
+        "every store changes the text"
+    );
     assert_eq!(
         fetches_seen(&image, true, false).0,
         stepped,
@@ -478,9 +529,9 @@ fn only_taps_that_pass_a_span_skip_its_fetches() {
     let passing = fetches_seen(&image, true, true).0;
     assert_eq!((passing.0, &passing.1), (stepped.0, &stepped.1));
     assert!(
-        passing.2 > 0 && passing.2 <= text_writes * (MAX_BLOCK_LEN as u64 - 1),
-        "a passing tap sees only the words after a text write ({} for {} writes)",
+        passing.2 > 0 && passing.2 <= text_changes * (MAX_BLOCK_LEN as u64 - 1),
+        "a passing tap sees only the words after a text change ({} for {} changes)",
         passing.2,
-        text_writes
+        text_changes
     );
 }

@@ -56,10 +56,6 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn decode_funct(bits: u8) -> Option<Funct> {
-    Funct::ALL.into_iter().find(|f| *f as u8 == bits)
-}
-
 impl Instr {
     /// Decode a 32-bit instruction word.
     ///
@@ -86,8 +82,8 @@ impl Instr {
         match opcode {
             0x00 => {
                 let fbits = (word & 0x3f) as u8;
-                let funct =
-                    decode_funct(fbits).ok_or(DecodeError::UnknownFunct { word, funct: fbits })?;
+                let funct = Funct::from_code(fbits)
+                    .ok_or(DecodeError::UnknownFunct { word, funct: fbits })?;
                 Ok(Instr::R(RType {
                     funct,
                     rs,

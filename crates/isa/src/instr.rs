@@ -115,6 +115,20 @@ impl Funct {
         Funct::Sltu,
     ];
 
+    /// The variant whose function code (`funct as u8`) is `code`, if
+    /// any. A `const fn`, so a code fixed at compile time resolves to
+    /// its variant at compile time.
+    pub const fn from_code(code: u8) -> Option<Funct> {
+        let mut i = 0;
+        while i < Funct::ALL.len() {
+            if Funct::ALL[i] as u8 == code {
+                return Some(Funct::ALL[i]);
+            }
+            i += 1;
+        }
+        None
+    }
+
     /// The assembly mnemonic.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -229,6 +243,22 @@ impl IOpcode {
         IOpcode::Sh,
         IOpcode::Sw,
     ];
+
+    /// The variant whose discriminant (`opcode as u8`) is `code`, if
+    /// any. Opcodes have no unique binary code (the `REGIMM` branches
+    /// share one), so the discriminant names the variant instead. A
+    /// `const fn`, so a code fixed at compile time resolves to its
+    /// variant at compile time.
+    pub const fn from_code(code: u8) -> Option<IOpcode> {
+        let mut i = 0;
+        while i < IOpcode::ALL.len() {
+            if IOpcode::ALL[i] as u8 == code {
+                return Some(IOpcode::ALL[i]);
+            }
+            i += 1;
+        }
+        None
+    }
 
     /// The assembly mnemonic.
     pub fn mnemonic(self) -> &'static str {
@@ -646,6 +676,18 @@ mod tests {
             rt: Reg::S1,
             imm: 0x10,
         })
+    }
+
+    #[test]
+    fn codes_name_their_variants() {
+        for f in Funct::ALL {
+            assert_eq!(Funct::from_code(f as u8), Some(f));
+        }
+        for op in IOpcode::ALL {
+            assert_eq!(IOpcode::from_code(op as u8), Some(op));
+        }
+        assert_eq!(Funct::from_code(0x01), None);
+        assert_eq!(IOpcode::from_code(IOpcode::ALL.len() as u8), None);
     }
 
     #[test]

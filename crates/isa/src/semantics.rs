@@ -6,6 +6,10 @@
 //! the hash generator's trace mode and the 6-stage pipeline) delegates
 //! here, so the two can never disagree about *what* an instruction does —
 //! only about *when*.
+//!
+//! Every helper is `#[inline]`: a caller that passes an operation fixed
+//! at compile time (the pipeline's per-variant executors) keeps only
+//! that operation's arm.
 
 use crate::instr::{Funct, IOpcode};
 
@@ -34,6 +38,7 @@ pub enum AluOut {
 ///
 /// Panics if called with a non-computational function code; callers route
 /// control-flow and HI/LO moves elsewhere.
+#[inline]
 pub fn alu_r(funct: Funct, a: u32, b: u32, shamt: u8) -> AluOut {
     let s = AluOut::Gpr;
     match funct {
@@ -109,6 +114,7 @@ pub fn alu_r(funct: Funct, a: u32, b: u32, shamt: u8) -> AluOut {
 /// # Panics
 ///
 /// Panics if called with a branch or memory opcode.
+#[inline]
 pub fn alu_i(opcode: IOpcode, a: u32, imm: u16) -> u32 {
     let se = imm as i16 as i32 as u32; // sign-extended
     let ze = imm as u32; // zero-extended
@@ -132,6 +138,7 @@ pub fn alu_i(opcode: IOpcode, a: u32, imm: u16) -> u32 {
 /// # Panics
 ///
 /// Panics if called with a non-branch opcode.
+#[inline]
 pub fn branch_taken(opcode: IOpcode, a: u32, b: u32) -> bool {
     match opcode {
         IOpcode::Beq => a == b,
@@ -146,6 +153,7 @@ pub fn branch_taken(opcode: IOpcode, a: u32, b: u32) -> bool {
 
 /// Effective address of a load or store: base register value plus
 /// sign-extended offset.
+#[inline]
 pub fn effective_address(base: u32, imm: u16) -> u32 {
     base.wrapping_add(imm as i16 as i32 as u32)
 }

@@ -101,14 +101,20 @@ pub struct Memory {
     dense_base: u32,
     /// Contiguous backing for `[dense_base, dense_base + dense.len())`.
     /// Empty when no dense region was reserved. Copy-on-write: shared
-    /// with snapshots until a text write lands.
+    /// with snapshots until a write changes the text.
     dense: Arc<[u8]>,
-    /// Bumped by every write landing in the dense region (the program
-    /// text): once per scalar write, once per byte of a
-    /// [`Memory::write_bytes`] span. Callers that validated a span of
-    /// the region can skip re-validating while this is unchanged — data
-    /// and stack traffic lives on the sparse pages and never bumps it.
+    /// Bumped by every write that changes the dense region (the program
+    /// text): once per scalar write that changes a byte, once per byte a
+    /// [`Memory::write_bytes`] span changes. Callers that validated a
+    /// span of the region can skip re-validating while this is
+    /// unchanged — data and stack traffic lives on the sparse pages and
+    /// never bumps it, and neither does a store of the bytes already
+    /// there.
     dense_epoch: u64,
+    /// Bumped by every write landing in the dense region, changed or
+    /// not: once per scalar write, once per byte of a
+    /// [`Memory::write_bytes`] span.
+    dense_writes: u64,
     pages: PageMap,
 }
 
@@ -154,20 +160,34 @@ impl Memory {
             dense_base: base,
             dense: Arc::from(vec![0u8; len]),
             dense_epoch: 0,
+            dense_writes: 0,
             pages: PageMap::default(),
         }
     }
 
-    /// Generation counter of the dense region: incremented by every
-    /// scalar write that lands inside it, and by the number of bytes a
-    /// [`write_bytes`](Memory::write_bytes) span lands inside it (so
-    /// loading an image leaves the same value a per-byte loop would).
-    /// Two equal readings with no tap in between prove the region's
-    /// bytes are unchanged, so block dispatch revalidates a cached
-    /// block only after text writes.
+    /// Generation counter of the dense region ("text changed"):
+    /// incremented by every scalar write that changes a byte inside it,
+    /// and by the number of bytes a [`write_bytes`](Memory::write_bytes)
+    /// span changes inside it (so loading an image leaves the same value
+    /// a per-byte loop would). Two equal readings prove the region's
+    /// bytes are unchanged, so block dispatch revalidates a cached block
+    /// only after a write changed the text; a store of the bytes already
+    /// there leaves it alone.
     #[inline]
     pub fn dense_epoch(&self) -> u64 {
         self.dense_epoch
+    }
+
+    /// Write counter of the dense region ("text written"): incremented
+    /// by every scalar write that lands inside it, whether or not it
+    /// changes a byte, and by the number of bytes a
+    /// [`write_bytes`](Memory::write_bytes) span lands inside it. Equal
+    /// readings prove no store touched the text — what a caller needs
+    /// when a store of the clean bytes could still overwrite a byte it
+    /// changed out of band (a pre-applied fault).
+    #[inline]
+    pub fn dense_writes(&self) -> u64 {
+        self.dense_writes
     }
 
     /// Number of resident (touched) sparse pages. The dense region is
@@ -234,13 +254,25 @@ impl Memory {
     }
 
     /// Mutable view of the dense buffer, cloning it first if a snapshot
-    /// still shares it (text writes are rare — tampering and authorised
-    /// patches — so the copy never sits on a hot path).
+    /// still shares it (text changes are rare — tampering and
+    /// self-modifying code — so the copy never sits on a hot path).
     fn dense_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.dense).is_none() {
             self.dense = Arc::from(self.dense.to_vec());
         }
         Arc::get_mut(&mut self.dense).unwrap_or_else(|| unreachable!("unshared after clone"))
+    }
+
+    /// One scalar write of `bytes` at dense offset `off`: counted as a
+    /// write, and — only when it changes a byte — as a change, which is
+    /// also the only case that unshares the buffer.
+    #[inline]
+    fn write_dense(&mut self, off: usize, bytes: &[u8]) {
+        self.dense_writes += 1;
+        if self.dense[off..off + bytes.len()] != *bytes {
+            self.dense_mut()[off..off + bytes.len()].copy_from_slice(bytes);
+            self.dense_epoch += 1;
+        }
     }
 
     /// Read one byte. Never fails; untouched memory is zero.
@@ -259,8 +291,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         if let Some(off) = self.dense_off(addr) {
-            self.dense_mut()[off] = value;
-            self.dense_epoch += 1;
+            self.write_dense(off, &[value]);
             return;
         }
         self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = value;
@@ -304,8 +335,7 @@ impl Memory {
         let b = value.to_le_bytes();
         if let Some(off) = self.dense_off(addr) {
             if off + 2 <= self.dense.len() {
-                self.dense_mut()[off..off + 2].copy_from_slice(&b);
-                self.dense_epoch += 1;
+                self.write_dense(off, &b);
                 return Ok(());
             }
         }
@@ -357,8 +387,7 @@ impl Memory {
         let b = value.to_le_bytes();
         if let Some(off) = self.dense_off(addr) {
             if off + 4 <= self.dense.len() {
-                self.dense_mut()[off..off + 4].copy_from_slice(&b);
-                self.dense_epoch += 1;
+                self.write_dense(off, &b);
                 return Ok(());
             }
         }
@@ -372,20 +401,30 @@ impl Memory {
     /// the top of the address space.
     ///
     /// The result is exactly that of one [`write_u8`](Memory::write_u8)
-    /// per byte — contents, resident pages, copy-on-write sharing and
+    /// per byte — contents, resident pages, copy-on-write sharing,
     /// [`dense_epoch`](Memory::dense_epoch), which rises by the number
-    /// of bytes landing in the dense region — but the copy is made in
-    /// chunks: one `copy_from_slice` per page and one for the dense
-    /// region, each unsharing its buffer once. Program loading is the
-    /// main caller.
+    /// of dense-region bytes the span changes, and
+    /// [`dense_writes`](Memory::dense_writes), which rises by the number
+    /// landing there — but the copy is made in chunks: one
+    /// `copy_from_slice` per page and one for the dense region, each
+    /// unsharing its buffer once (the dense one only when a byte
+    /// changes). Program loading is the main caller.
     pub fn write_bytes(&mut self, base: u32, bytes: &[u8]) {
         let mut addr = base;
         let mut rest = bytes;
         while !rest.is_empty() {
             let n = if let Some(off) = self.dense_off(addr) {
                 let n = rest.len().min(self.dense.len() - off);
-                self.dense_mut()[off..off + n].copy_from_slice(&rest[..n]);
-                self.dense_epoch += n as u64;
+                let changed = self.dense[off..off + n]
+                    .iter()
+                    .zip(&rest[..n])
+                    .filter(|(old, new)| old != new)
+                    .count();
+                if changed > 0 {
+                    self.dense_mut()[off..off + n].copy_from_slice(&rest[..n]);
+                    self.dense_epoch += changed as u64;
+                }
+                self.dense_writes += n as u64;
                 n
             } else {
                 let i = (addr % PAGE_SIZE) as usize;
@@ -430,7 +469,7 @@ impl Memory {
         self.write_u8(addr, old ^ (1 << bit));
     }
 
-    /// Serialize the complete memory — dense region, epoch counter, and
+    /// Serialize the complete memory — dense region, both counters, and
     /// every resident sparse page in ascending page order — so a decoded
     /// copy is indistinguishable from a [`Memory::clone`] snapshot
     /// (epoch included; callers compare epochs across checkpoints).
@@ -438,6 +477,7 @@ impl Memory {
         e.u32(self.dense_base);
         e.bytes(&self.dense);
         e.u64(self.dense_epoch);
+        e.u64(self.dense_writes);
         let mut keys: Vec<u32> = self.pages.keys().copied().collect();
         keys.sort_unstable();
         e.usize(keys.len());
@@ -457,6 +497,7 @@ impl Memory {
         let dense_base = d.u32()?;
         let dense: Arc<[u8]> = Arc::from(d.bytes()?.to_vec());
         let dense_epoch = d.u64()?;
+        let dense_writes = d.u64()?;
         let n_pages = d.usize()?;
         let mut pages = PageMap::default();
         for _ in 0..n_pages {
@@ -474,6 +515,7 @@ impl Memory {
             dense_base,
             dense,
             dense_epoch,
+            dense_writes,
             pages,
         })
     }
@@ -598,6 +640,25 @@ mod tests {
     }
 
     #[test]
+    fn only_changing_text_writes_move_the_epoch() {
+        let mut m = Memory::with_dense_region(0x1000, 8);
+        m.write_u32(0x1000, 0x1122_3344).unwrap();
+        assert_eq!((m.dense_epoch(), m.dense_writes()), (1, 1));
+        // The same bytes again, at every width: written, not changed.
+        m.write_u32(0x1000, 0x1122_3344).unwrap();
+        m.write_u16(0x1002, 0x1122).unwrap();
+        m.write_u8(0x1000, 0x44);
+        m.write_bytes(0x1000, &[0x44, 0x33]);
+        assert_eq!((m.dense_epoch(), m.dense_writes()), (1, 6));
+        // A span counts the bytes it changes and the bytes it writes.
+        m.write_bytes(0x1000, &[0x44, 0x00, 0x22, 0x00]);
+        assert_eq!((m.dense_epoch(), m.dense_writes()), (3, 10));
+        // Data traffic moves neither counter.
+        m.write_u32(0x9000, 7).unwrap();
+        assert_eq!((m.dense_epoch(), m.dense_writes()), (3, 10));
+    }
+
+    #[test]
     fn encode_decode_round_trips_contents_and_epoch() {
         let mut m = Memory::with_dense_region(0x1000, 12);
         m.write_u32(0x1004, 0xdead_beef).unwrap(); // bumps the epoch
@@ -610,6 +671,7 @@ mod tests {
         let back = Memory::decode_from(&mut d).unwrap();
         d.finish().unwrap();
         assert_eq!(back.dense_epoch(), m.dense_epoch());
+        assert_eq!(back.dense_writes(), m.dense_writes());
         assert_eq!(back.dense_region(), m.dense_region());
         assert_eq!(back.read_u32(0x1004).unwrap(), 0xdead_beef);
         assert_eq!(back.read_u32(0x9000).unwrap(), 0x1234_5678);

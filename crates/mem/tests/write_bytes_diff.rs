@@ -3,10 +3,13 @@
 //! [`Memory::write_bytes`] copies a span in chunks — one per page and
 //! one for the dense region. It must leave exactly the memory a
 //! per-byte [`Memory::write_u8`] loop leaves: the same resident word
-//! stream, the same resident page count and the same dense epoch, for
-//! spans that cross page boundaries, run into or out of the dense
-//! region, wrap past `0xFFFF_FFFF`, or are empty — and a `clone()`
-//! snapshot sharing the memory's buffers must not see the write.
+//! stream, the same resident page count and the same dense-region
+//! counters — the epoch, which counts the bytes a write changes, and
+//! the write count, which counts every byte written — for spans that
+//! cross page boundaries, run into or out of the dense region, wrap
+//! past `0xFFFF_FFFF`, are empty, or rewrite bytes already there (all
+//! of them, or a random mix) — and a `clone()` snapshot sharing the
+//! memory's buffers must not see the write.
 
 use proptest::prelude::*;
 
@@ -130,6 +133,7 @@ fn assert_same(bulk: &Memory, oracle: &Memory) {
     assert_eq!(words(bulk), words(oracle), "resident words differ");
     assert_eq!(bulk.resident_pages(), oracle.resident_pages());
     assert_eq!(bulk.dense_epoch(), oracle.dense_epoch());
+    assert_eq!(bulk.dense_writes(), oracle.dense_writes());
 }
 
 proptest! {
@@ -144,13 +148,50 @@ proptest! {
         let mut oracle = prepared(layout, &span, &prior);
         // A snapshot sharing every buffer of `bulk` must not see the write.
         let snapshot = shared.then(|| bulk.clone());
-        let before = snapshot.as_ref().map(|s| (words(s), s.dense_epoch()));
+        let before = snapshot
+            .as_ref()
+            .map(|s| (words(s), s.dense_epoch(), s.dense_writes()));
         let base = span.base(&bulk);
         bulk.write_bytes(base, &span.bytes);
         per_byte(&mut oracle, base, &span.bytes);
         assert_same(&bulk, &oracle);
         prop_assert_eq!(bulk.read_bytes(base, span.bytes.len()), span.bytes.clone());
-        prop_assert_eq!(snapshot.map(|s| (words(&s), s.dense_epoch())), before);
+        prop_assert_eq!(
+            snapshot.map(|s| (words(&s), s.dense_epoch(), s.dense_writes())),
+            before
+        );
+    }
+
+    #[test]
+    fn rewriting_resident_bytes_matches_per_byte_writes(
+        layout in arb_layout(),
+        span in arb_span(),
+        prior in prop::collection::vec((0u32..3 * PAGE_SIZE, any::<u8>()), 0..4),
+        // Per byte, a mask XORed into the resident value (zero keeps it).
+        edits in prop::collection::vec(any::<u8>(), 0..64),
+        same_value in any::<bool>(),
+    ) {
+        let mut bulk = prepared(layout, &span, &prior);
+        let base = span.base(&bulk);
+        // The span's bytes start as what is already there, so every
+        // byte rewrites its old value unless an edit changes it.
+        let mut bytes = bulk.read_bytes(base, span.bytes.len());
+        if !same_value && !edits.is_empty() {
+            for (i, b) in bytes.iter_mut().enumerate() {
+                *b ^= edits[i % edits.len()];
+            }
+        }
+        let mut oracle = prepared(layout, &span, &prior);
+        let (epoch, writes) = (bulk.dense_epoch(), bulk.dense_writes());
+        bulk.write_bytes(base, &bytes);
+        per_byte(&mut oracle, base, &bytes);
+        assert_same(&bulk, &oracle);
+        prop_assert_eq!(bulk.read_bytes(base, bytes.len()), bytes.clone());
+        if same_value || edits.iter().all(|&x| x == 0) {
+            prop_assert_eq!(bulk.dense_epoch(), epoch, "nothing changed");
+        }
+        let landed = oracle.dense_writes() - writes;
+        prop_assert!(bulk.dense_epoch() - epoch <= landed);
     }
 }
 
@@ -161,6 +202,7 @@ fn empty_spans_change_nothing() {
         mem.write_bytes(base, &[]);
         assert_eq!(mem.resident_pages(), 0);
         assert_eq!(mem.dense_epoch(), 0);
+        assert_eq!(mem.dense_writes(), 0);
     }
 }
 
@@ -175,4 +217,31 @@ fn a_span_wrapping_into_a_dense_region_at_zero_counts_its_bytes() {
     // Four bytes on the top page, eight in the dense region at zero.
     assert_eq!(bulk.resident_pages(), 1);
     assert_eq!(bulk.dense_epoch(), 8);
+    assert_eq!(bulk.dense_writes(), 8);
+}
+
+#[test]
+fn same_value_and_mixed_spans_count_only_changed_bytes_as_changes() {
+    let mut mem = Memory::with_dense_region(0x0040_0000, 16);
+    let image: Vec<u8> = (1..=16).collect();
+    mem.write_bytes(0x0040_0000, &image);
+    assert_eq!((mem.dense_epoch(), mem.dense_writes()), (16, 16));
+    // A same-value span is written but changes nothing, and a snapshot
+    // sharing the buffer keeps sharing it.
+    let snapshot = mem.clone();
+    mem.write_bytes(0x0040_0004, &image[4..12]);
+    assert_eq!((mem.dense_epoch(), mem.dense_writes()), (16, 24));
+    // A mixed span, running past the region's end: three of its eight
+    // dense bytes change, and the four past the end land on a page.
+    let mut mixed = image[12..].to_vec();
+    mixed[0] ^= 1;
+    mixed[3] ^= 0x80;
+    mixed.extend([0xaa; 4]);
+    let mut oracle = mem.clone();
+    mem.write_bytes(0x0040_000c, &mixed);
+    per_byte(&mut oracle, 0x0040_000c, &mixed);
+    assert_same(&mem, &oracle);
+    assert_eq!((mem.dense_epoch(), mem.dense_writes()), (18, 28));
+    assert_eq!(mem.resident_pages(), 1);
+    assert_eq!(snapshot.read_bytes(0x0040_0000, 16), image);
 }

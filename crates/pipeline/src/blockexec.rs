@@ -24,11 +24,11 @@
 //! behaviour exactly — see `Processor::step_block`.
 //!
 //! A store inside a block can change one of its later words only by
-//! writing the program's own text, and every such write bumps
-//! [`Memory::dense_epoch`](cimon_mem::Memory::dense_epoch). A bulk
-//! comparison therefore holds for the rest of its block while the epoch
-//! is unchanged; the dispatcher re-reads it after every executed
-//! instruction and fetches per word from the first text write on, so
+//! changing the program's own text, and every write that changes a byte
+//! of it bumps [`Memory::dense_epoch`](cimon_mem::Memory::dense_epoch).
+//! A bulk comparison therefore holds for the rest of its block while the
+//! epoch is unchanged; the dispatcher re-reads it after every executed
+//! instruction and fetches per word from the first text change on, so
 //! self-modification is observed at the architecturally correct instant.
 
 use std::sync::Arc;
@@ -351,13 +351,15 @@ mod tests {
 
     #[test]
     fn text_stores_fetch_only_the_rest_of_their_block() {
-        // A same-value store into the text, mid-block: the four words
-        // after it are fetched per word, the four up to it are not.
+        // A store that changes the text (the block's own first word,
+        // already run), mid-block: the four words after it are fetched
+        // per word, the five up to it are not.
         let mid = "
             .text
         main:
             la   $t8, main
             lw   $t9, 0($t8)
+            xori $t9, $t9, 1
             sw   $t9, 0($t8)
             addu $t0, $t0, $t1
             addu $t0, $t0, $t1
@@ -365,16 +367,25 @@ mod tests {
             syscall
         ";
         let (cache, img) = cache_of(mid);
-        assert_eq!(cache.block_at(img.entry).unwrap().entries.len(), 8);
+        assert_eq!(cache.block_at(img.entry).unwrap().entries.len(), 9);
         let (outcome, seen, instructions, bailouts) = per_word_fetches(mid);
         assert_eq!(outcome, RunOutcome::Exited { code: 0 });
-        assert_eq!((seen, instructions, bailouts), (4, 8, 0));
+        assert_eq!((seen, instructions, bailouts), (4, 9, 0));
 
-        // The same store as the final instruction of a size-cut block:
-        // no word of its block follows it, and the next block
+        // A store of the word already there changes nothing: no word of
+        // its block is fetched.
+        let same = mid.replace("xori $t9, $t9, 1", "xori $t9, $t9, 0");
+        let (outcome, seen, instructions, _) = per_word_fetches(&same);
+        assert_eq!(outcome, RunOutcome::Exited { code: 0 });
+        assert_eq!((seen, instructions), (0, 9));
+
+        // The changing store as the final instruction of a size-cut
+        // block: no word of its block follows it, and the next block
         // re-validates in bulk against the written text.
-        let mut last = String::from("    .text\nmain:\n    la $t8, main\n    lw $t9, 0($t8)\n");
-        for _ in 0..(MAX_BLOCK_LEN - 4) {
+        let mut last = String::from(
+            "    .text\nmain:\n    la $t8, main\n    lw $t9, 0($t8)\n    xori $t9, $t9, 1\n",
+        );
+        for _ in 0..(MAX_BLOCK_LEN - 5) {
             last.push_str("    addu $t0, $t0, $t1\n");
         }
         last.push_str("    sw $t9, 0($t8)\n"); // slot MAX_BLOCK_LEN - 1

@@ -1163,6 +1163,38 @@ impl Processor {
         &self.regs
     }
 
+    /// Replace the general-purpose registers (`$zero` stays zero) and
+    /// HI/LO. Exposed for the executor oracle (`tests/exec_diff.rs`);
+    /// not a stable API.
+    #[doc(hidden)]
+    pub fn set_arch_regs(&mut self, regs: [u32; 32], hi: u32, lo: u32) {
+        self.regs = RegFile::from_snapshot(regs);
+        self.hi = hi;
+        self.lo = lo;
+    }
+
+    /// The HI/LO pair. Exposed for the executor oracle
+    /// (`tests/exec_diff.rs`); not a stable API.
+    #[doc(hidden)]
+    pub fn hi_lo(&self) -> (u32, u32) {
+        (self.hi, self.lo)
+    }
+
+    /// Run `entry`'s bound executor once at `pc`, the PC it was
+    /// predecoded for, returning the next PC, whether control
+    /// transferred, and the exit code of an exit syscall. Only the
+    /// architectural effect happens: no fetch, monitor, timing or
+    /// retirement. Exposed for the executor oracle
+    /// (`tests/exec_diff.rs`); not a stable API.
+    #[doc(hidden)]
+    pub fn exec_entry(
+        &mut self,
+        pc: u32,
+        entry: &PredecodedEntry,
+    ) -> Result<(u32, bool, Option<u32>), FaultKind> {
+        (entry.exec)(self, pc, entry).map(|e| (e.next_pc, e.taken, e.exit))
+    }
+
     /// The checker, when monitored.
     pub fn cic(&self) -> Option<&Cic> {
         self.env.monitor.as_ref().map(CicMonitor::cic)
@@ -1536,11 +1568,11 @@ impl Processor {
         // region) or failure (tampering) selects per-word fetching,
         // which is exact in all cases and bails out at the diverging
         // word. A comparison that passed stays proven while the
-        // memory's dense-region epoch is unchanged (no write has landed
-        // in the text), so hot re-dispatches skip the bytes entirely —
-        // and so does the rest of the block itself: the loops re-read
-        // the epoch after every executed instruction and fetch per word
-        // from the first store that wrote the text.
+        // memory's dense-region epoch is unchanged (no write has changed
+        // the text), so hot re-dispatches skip the bytes entirely — and
+        // so does the rest of the block itself: the loops re-read the
+        // epoch after every executed instruction and fetch per word from
+        // the first store that changed the text.
         let last = pc.wrapping_add(block.bytes.len() as u32 - INSTR_BYTES);
         let epoch = self.env.mem.dense_epoch();
         let bulk = self.env.bus.transparent_over(pc, last) && {
@@ -1598,9 +1630,9 @@ impl Processor {
         if bulk {
             // Bulk validation stood in for the per-word fetches of
             // exactly the instructions the loop reached before any text
-            // write (an early `MaxCycles` never fetches the instruction
+            // change (an early `MaxCycles` never fetches the instruction
             // it stops on, so the count matches per-instruction
-            // stepping); the words after a text write were fetched.
+            // stepping); the words after a text change were fetched.
             self.env.bus.note_fetches(reached);
         }
         if let BlockLoopExit::Bail { pc, word } = exit {
@@ -1726,7 +1758,7 @@ impl Processor {
             }
             self.pc = exec.next_pc;
             if BULK && self.env.mem.dense_epoch() != epoch {
-                // A store wrote the text: the words still to come may
+                // A store changed the text: the words still to come may
                 // no longer be the validated ones, so fetch them.
                 return self.block_loop::<false>(&entries[i + 1..], epoch, sta, rhash, reached);
             }
@@ -1755,7 +1787,7 @@ impl Processor {
     /// `epoch`, the words still to come are the validated ones. Two
     /// early exits commit exactly the prefix sequential stepping would
     /// have observed and issued: an execution fault, which ends the
-    /// run, and a store that wrote the text, after which the rest of
+    /// run, and a store that changed the text, after which the rest of
     /// the block fetches per word through [`Processor::block_loop`].
     #[allow(clippy::too_many_arguments)]
     fn block_loop_planned(
@@ -1820,7 +1852,7 @@ impl Processor {
             if let Some(f) = fault {
                 return BlockLoopExit::Finished(RunOutcome::Fault(f));
             }
-            // A store wrote the text: the words still to come may no
+            // A store changed the text: the words still to come may no
             // longer be the validated ones, so fetch them.
             return self.block_loop::<false>(&entries[executed..], epoch, sta, rhash, reached);
         }
@@ -1929,6 +1961,7 @@ impl Processor {
         None
     }
 
+    #[inline]
     fn access_memory(&mut self, pc: u32, op: IOpcode, rt: Reg, addr: u32) -> Result<(), FaultKind> {
         let fault = |_| FaultKind::MemFault { pc };
         match op {
@@ -1992,40 +2025,121 @@ impl Exec {
 
 /// A pre-bound executor for one predecoded instruction: the
 /// [`ThreadedProgram`] trick applied to instruction execution. Each
-/// function is monomorphic over one instruction shape, so block replay
-/// is a loop over `(fn pointer, predecoded operands)` pairs instead of
-/// a three-level enum match per executed instruction.
+/// function is monomorphic over one operation, so block replay is a
+/// loop over `(fn pointer, predecoded operands)` pairs that never
+/// matches on an opcode or function code. The ALU, branch and
+/// load/store executors are const-generic over the variant's code
+/// ([`Op`]); each instantiation's operation is a compile-time constant,
+/// and the inlined [`semantics`] helpers fold to its one arm.
 pub(crate) type ExecFn = fn(&mut Processor, u32, &PredecodedEntry) -> Result<Exec, FaultKind>;
 
 /// Select the executor function for a decoded instruction — the bind
 /// step [`PredecodedEntry::new`] runs once per decode.
 pub(crate) fn bind_exec(instr: &Instr) -> ExecFn {
+    binding(instr).0
+}
+
+/// The type name of the executor [`PredecodedEntry::new`] binds for
+/// `instr`. A family executor's name carries the variant code it was
+/// instantiated for, so distinct variants get distinct names. Exposed
+/// for the executor oracle (`tests/exec_diff.rs`); not a stable API.
+#[doc(hidden)]
+pub fn exec_binding(instr: &Instr) -> &'static str {
+    binding(instr).1
+}
+
+/// The executor for `instr`, and the name of its function type.
+fn binding(instr: &Instr) -> (ExecFn, &'static str) {
+    fn type_name_of<T>(_: &T) -> &'static str {
+        std::any::type_name::<T>()
+    }
+    macro_rules! bind {
+        ($exec:ident) => {
+            ($exec as ExecFn, type_name_of(&$exec))
+        };
+        ($exec:ident, $ty:ident :: $v:ident) => {
+            (
+                $exec::<{ $ty::$v as u8 }> as ExecFn,
+                type_name_of(&$exec::<{ $ty::$v as u8 }>),
+            )
+        };
+    }
     match instr {
         Instr::R(r) => match r.funct {
-            Funct::Jr => exec_jr,
-            Funct::Jalr => exec_jalr,
-            Funct::Syscall => exec_syscall,
-            Funct::Break => exec_break,
-            Funct::Mfhi => exec_mfhi,
-            Funct::Mflo => exec_mflo,
-            Funct::Mthi => exec_mthi,
-            Funct::Mtlo => exec_mtlo,
-            _ => exec_alu_r,
+            Funct::Jr => bind!(exec_jr),
+            Funct::Jalr => bind!(exec_jalr),
+            Funct::Syscall => bind!(exec_syscall),
+            Funct::Break => bind!(exec_break),
+            Funct::Mfhi => bind!(exec_mfhi),
+            Funct::Mflo => bind!(exec_mflo),
+            Funct::Mthi => bind!(exec_mthi),
+            Funct::Mtlo => bind!(exec_mtlo),
+            Funct::Sll => bind!(exec_alu_r, Funct::Sll),
+            Funct::Srl => bind!(exec_alu_r, Funct::Srl),
+            Funct::Sra => bind!(exec_alu_r, Funct::Sra),
+            Funct::Sllv => bind!(exec_alu_r, Funct::Sllv),
+            Funct::Srlv => bind!(exec_alu_r, Funct::Srlv),
+            Funct::Srav => bind!(exec_alu_r, Funct::Srav),
+            Funct::Mult => bind!(exec_alu_r, Funct::Mult),
+            Funct::Multu => bind!(exec_alu_r, Funct::Multu),
+            Funct::Div => bind!(exec_alu_r, Funct::Div),
+            Funct::Divu => bind!(exec_alu_r, Funct::Divu),
+            Funct::Add => bind!(exec_alu_r, Funct::Add),
+            Funct::Addu => bind!(exec_alu_r, Funct::Addu),
+            Funct::Sub => bind!(exec_alu_r, Funct::Sub),
+            Funct::Subu => bind!(exec_alu_r, Funct::Subu),
+            Funct::And => bind!(exec_alu_r, Funct::And),
+            Funct::Or => bind!(exec_alu_r, Funct::Or),
+            Funct::Xor => bind!(exec_alu_r, Funct::Xor),
+            Funct::Nor => bind!(exec_alu_r, Funct::Nor),
+            Funct::Slt => bind!(exec_alu_r, Funct::Slt),
+            Funct::Sltu => bind!(exec_alu_r, Funct::Sltu),
         },
-        Instr::I(i) => {
-            if i.opcode.is_branch() {
-                exec_branch
-            } else if i.opcode.is_load() || i.opcode.is_store() {
-                exec_mem
-            } else {
-                exec_alu_i
-            }
-        }
+        Instr::I(i) => match i.opcode {
+            IOpcode::Bltz => bind!(exec_branch, IOpcode::Bltz),
+            IOpcode::Bgez => bind!(exec_branch, IOpcode::Bgez),
+            IOpcode::Beq => bind!(exec_branch, IOpcode::Beq),
+            IOpcode::Bne => bind!(exec_branch, IOpcode::Bne),
+            IOpcode::Blez => bind!(exec_branch, IOpcode::Blez),
+            IOpcode::Bgtz => bind!(exec_branch, IOpcode::Bgtz),
+            IOpcode::Addi => bind!(exec_alu_i, IOpcode::Addi),
+            IOpcode::Addiu => bind!(exec_alu_i, IOpcode::Addiu),
+            IOpcode::Slti => bind!(exec_alu_i, IOpcode::Slti),
+            IOpcode::Sltiu => bind!(exec_alu_i, IOpcode::Sltiu),
+            IOpcode::Andi => bind!(exec_alu_i, IOpcode::Andi),
+            IOpcode::Ori => bind!(exec_alu_i, IOpcode::Ori),
+            IOpcode::Xori => bind!(exec_alu_i, IOpcode::Xori),
+            IOpcode::Lui => bind!(exec_alu_i, IOpcode::Lui),
+            IOpcode::Lb => bind!(exec_mem, IOpcode::Lb),
+            IOpcode::Lh => bind!(exec_mem, IOpcode::Lh),
+            IOpcode::Lw => bind!(exec_mem, IOpcode::Lw),
+            IOpcode::Lbu => bind!(exec_mem, IOpcode::Lbu),
+            IOpcode::Lhu => bind!(exec_mem, IOpcode::Lhu),
+            IOpcode::Sb => bind!(exec_mem, IOpcode::Sb),
+            IOpcode::Sh => bind!(exec_mem, IOpcode::Sh),
+            IOpcode::Sw => bind!(exec_mem, IOpcode::Sw),
+        },
         Instr::J(j) => match j.opcode {
-            cimon_isa::JOpcode::J => exec_j,
-            cimon_isa::JOpcode::Jal => exec_jal,
+            cimon_isa::JOpcode::J => bind!(exec_j),
+            cimon_isa::JOpcode::Jal => bind!(exec_jal),
         },
     }
+}
+
+/// The operation a family executor was instantiated for: `C` is the
+/// variant's code (`funct as u8` or `opcode as u8`), resolved at
+/// compile time. Only the constant a family reads is ever evaluated.
+struct Op<const C: u8>;
+
+impl<const C: u8> Op<C> {
+    const FUNCT: Funct = match Funct::from_code(C) {
+        Some(f) => f,
+        None => panic!("not a function code"),
+    };
+    const OPCODE: IOpcode = match IOpcode::from_code(C) {
+        Some(op) => op,
+        None => panic!("not an I-type opcode code"),
+    };
 }
 
 /// Unwrap the R-type payload an R-bound executor was paired with.
@@ -2126,11 +2240,15 @@ fn exec_mtlo(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, 
     Ok(Exec::fall_through(pc))
 }
 
-fn exec_alu_r(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, FaultKind> {
+fn exec_alu_r<const F: u8>(
+    cpu: &mut Processor,
+    pc: u32,
+    e: &PredecodedEntry,
+) -> Result<Exec, FaultKind> {
     let r = r_type!(e);
     let a = cpu.regs.read(r.rs);
     let b = cpu.regs.read(r.rt);
-    match semantics::alu_r(r.funct, a, b, r.shamt) {
+    match semantics::alu_r(Op::<F>::FUNCT, a, b, r.shamt) {
         semantics::AluOut::Gpr(v) => cpu.regs.write(r.rd, v),
         semantics::AluOut::HiLo { hi, lo } => {
             cpu.hi = hi;
@@ -2140,12 +2258,16 @@ fn exec_alu_r(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec,
     Ok(Exec::fall_through(pc))
 }
 
-fn exec_branch(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, FaultKind> {
+fn exec_branch<const OP: u8>(
+    cpu: &mut Processor,
+    pc: u32,
+    e: &PredecodedEntry,
+) -> Result<Exec, FaultKind> {
     let i = i_type!(e);
     let a = cpu.regs.read(i.rs);
     let b = cpu.regs.read(i.rt);
     let mut exec = Exec::fall_through(pc);
-    if semantics::branch_taken(i.opcode, a, b) {
+    if semantics::branch_taken(Op::<OP>::OPCODE, a, b) {
         // The destination was resolved at predecode time (it depends
         // only on the instruction's own PC).
         exec.next_pc = e.target;
@@ -2154,16 +2276,24 @@ fn exec_branch(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec
     Ok(exec)
 }
 
-fn exec_mem(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, FaultKind> {
+fn exec_mem<const OP: u8>(
+    cpu: &mut Processor,
+    pc: u32,
+    e: &PredecodedEntry,
+) -> Result<Exec, FaultKind> {
     let i = i_type!(e);
     let addr = semantics::effective_address(cpu.regs.read(i.rs), i.imm);
-    cpu.access_memory(pc, i.opcode, i.rt, addr)?;
+    cpu.access_memory(pc, Op::<OP>::OPCODE, i.rt, addr)?;
     Ok(Exec::fall_through(pc))
 }
 
-fn exec_alu_i(cpu: &mut Processor, pc: u32, e: &PredecodedEntry) -> Result<Exec, FaultKind> {
+fn exec_alu_i<const OP: u8>(
+    cpu: &mut Processor,
+    pc: u32,
+    e: &PredecodedEntry,
+) -> Result<Exec, FaultKind> {
     let i = i_type!(e);
-    let v = semantics::alu_i(i.opcode, cpu.regs.read(i.rs), i.imm);
+    let v = semantics::alu_i(Op::<OP>::OPCODE, cpu.regs.read(i.rs), i.imm);
     cpu.regs.write(i.rt, v);
     Ok(Exec::fall_through(pc))
 }

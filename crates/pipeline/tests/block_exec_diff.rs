@@ -548,3 +548,29 @@ fn a_same_value_store_into_the_text_is_exact() {
     ";
     assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 8 });
 }
+
+#[test]
+fn a_store_changing_a_later_word_on_every_iteration_is_exact() {
+    // Each iteration toggles the immediate of a later word of its own
+    // block (2 <-> 3) before it runs: every dispatch of the loop block
+    // re-validates the changed text, and the words after each store
+    // run per word.
+    let src = "
+        .text
+    main:
+        li   $a0, 0
+        li   $s0, 4
+    loop:
+        la   $t8, patch
+        lw   $t9, 0($t8)
+        xori $t9, $t9, 1
+        sw   $t9, 0($t8)
+    patch:
+        addiu $a0, $a0, 2
+        addiu $s0, $s0, -1
+        bnez $s0, loop
+        li   $v0, 10
+        syscall
+    ";
+    assert_eq!(assert_store_case(src), RunOutcome::Exited { code: 10 });
+}

@@ -17,11 +17,14 @@
 //!   [`Replay::corrupt_dropped`]. The server simply recomputes that
 //!   result; damaged storage degrades to lost work, never to wrong
 //!   answers.
-//! * **Rotation** — when the file grows past the configured limit it
-//!   is compacted: the live records are written to a sibling temp file
-//!   which is fsynced and atomically renamed over the journal, so a
-//!   crash during rotation leaves either the old or the new file,
-//!   never a mixture.
+//! * **Rotation** — when the file grows past the configured limit, and
+//!   past twice the size the last rotation left, it is compacted: the
+//!   live records are streamed to a sibling temp file which is fsynced
+//!   and atomically renamed over the journal, so a crash during
+//!   rotation leaves either the old or the new file, never a mixture.
+//!   The doubling rule keeps a live set larger than the limit from
+//!   being rewritten on every append: each appended byte is rewritten
+//!   a constant number of times on average.
 //! * **Directory durability** — renaming or creating a file makes the
 //!   *data* durable only once the directory entry is too. The journal
 //!   therefore fsyncs its parent directory after creating the file and
@@ -29,8 +32,9 @@
 //!   "successful" rotation could resurrect the pre-rotation journal —
 //!   or no journal at all — on the next boot.
 
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use cimon_bench::json::{self, FlatObject};
@@ -131,6 +135,8 @@ pub struct Journal {
     path: PathBuf,
     file: File,
     bytes: u64,
+    /// Size the last rotation left (0 before the first one).
+    compacted: u64,
     appended: u64,
 }
 
@@ -184,6 +190,7 @@ impl Journal {
                 path: path.to_path_buf(),
                 file,
                 bytes,
+                compacted: 0,
                 appended: 0,
             },
             replay,
@@ -210,30 +217,38 @@ impl Journal {
         Ok(())
     }
 
-    /// Compact the journal down to `live` if it has outgrown
-    /// `rotate_bytes`: write a sibling temp file, fsync it, and
-    /// atomically rename it over the journal. Returns whether a
+    /// Whether the journal has outgrown both `rotate_bytes` and twice
+    /// the size the last rotation left.
+    pub fn needs_rotation(&self, rotate_bytes: u64) -> bool {
+        self.bytes > rotate_bytes.max(self.compacted.saturating_mul(2))
+    }
+
+    /// Compact the journal down to `live` if it [needs
+    /// rotation](Journal::needs_rotation): stream the records to a
+    /// sibling temp file, fsync it, and atomically rename it over the
+    /// journal. `live` is encoded one record at a time, so a rotation
+    /// never holds a second copy of the live set. Returns whether a
     /// rotation happened.
     ///
     /// # Errors
     ///
     /// Any I/O error during the rewrite; the original journal is
     /// untouched unless the final rename succeeded.
-    pub fn rotate_if_needed(
+    pub fn rotate_if_needed<R: Borrow<Record>>(
         &mut self,
         rotate_bytes: u64,
-        live: &[Record],
+        live: impl IntoIterator<Item = R>,
     ) -> std::io::Result<bool> {
-        if self.bytes <= rotate_bytes {
+        if !self.needs_rotation(rotate_bytes) {
             return Ok(false);
         }
         let tmp = self.path.with_extension("rotate-tmp");
         {
-            let mut f = File::create(&tmp)?;
+            let mut f = BufWriter::new(File::create(&tmp)?);
             for r in live {
-                f.write_all(r.to_line().as_bytes())?;
+                f.write_all(r.borrow().to_line().as_bytes())?;
             }
-            f.sync_data()?;
+            f.into_inner().map_err(|e| e.into_error())?.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
         // The rename is only durable once the directory entry is; skip
@@ -241,6 +256,7 @@ impl Journal {
         fsync_parent(&self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.bytes = self.file.metadata()?.len();
+        self.compacted = self.bytes;
         Ok(true)
     }
 
@@ -385,6 +401,36 @@ mod tests {
         // Below the threshold nothing rotates.
         let mut j2 = j2;
         assert!(!j2.rotate_if_needed(1 << 20, &live).unwrap());
+    }
+
+    #[test]
+    fn a_live_set_above_the_limit_is_rewritten_a_bounded_number_of_times() {
+        if chaos_mode() {
+            return;
+        }
+        let path = scratch("amortised");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        let limit = 4 << 10;
+        let mut live = Vec::new();
+        let (mut appended, mut rewritten, mut rotations) = (0, 0, 0);
+        // Every record stays live, so the live set soon outgrows the
+        // limit: rotating on every append would rewrite O(n^2) bytes.
+        for i in 0..2000 {
+            let r = rec(i, "{\"cycles\":123456789}");
+            j.append(&r, usize::MAX).unwrap();
+            appended += r.to_line().len() as u64;
+            live.push(r);
+            if j.rotate_if_needed(limit, &live).unwrap() {
+                rewritten += j.len_bytes();
+                rotations += 1;
+            }
+        }
+        assert!(appended > 20 * limit);
+        assert!(rewritten <= 2 * appended, "{rewritten} of {appended}");
+        assert!((3..=8).contains(&rotations), "{rotations} rotations");
+        drop(j);
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.records, live);
     }
 
     #[test]

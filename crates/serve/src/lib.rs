@@ -91,7 +91,9 @@ pub struct ServeConfig {
     /// Seed mixed with the request key for the retry backoff's
     /// deterministic jitter ([`backoff::jittered`]).
     pub retry_jitter_seed: u64,
-    /// Journal size that triggers a compacting rotation.
+    /// Journal size past which a compacting rotation runs. After a
+    /// rotation the file must also reach twice its compacted size, so
+    /// a live set above this limit is not rewritten on every append.
     pub journal_rotate_bytes: u64,
     /// Bounded per-stream response buffer, in frames: how far a sweep
     /// may run ahead of a slow consumer before back-pressure stalls the

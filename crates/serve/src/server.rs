@@ -310,7 +310,9 @@ impl Inner {
 
     /// Append one record, flush it, and rotate the journal if it has
     /// outgrown its limit. Campaign chunks and rows already absorbed
-    /// into a final record are compacted away on rotation.
+    /// into a final record are compacted away on rotation. The rotation
+    /// encodes the live set straight from the caches, under their
+    /// locks, instead of copying it first.
     fn journal_append(&self, record: Record) {
         let idx = self.append_counter.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock(&self.journal);
@@ -319,65 +321,14 @@ impl Inner {
             // the result still goes out, it just will not survive a
             // restart.
             let _ = journal.append(&record, idx);
-            if journal.len_bytes() > self.cfg.journal_rotate_bytes {
-                let live = self.live_records();
-                let _ = journal.rotate_if_needed(self.cfg.journal_rotate_bytes, &live);
+            if journal.needs_rotation(self.cfg.journal_rotate_bytes) {
+                let done = lock(&self.done);
+                let chunks = lock(&self.chunks);
+                let sweeps = lock(&self.sweeps);
+                let live = live_records(&done, &chunks, &sweeps);
+                let _ = journal.rotate_if_needed(self.cfg.journal_rotate_bytes, live);
             }
         }
-    }
-
-    /// Every record still worth keeping across a rotation: final
-    /// results, plus chunks of campaigns that have no final record
-    /// yet.
-    fn live_records(&self) -> Vec<Record> {
-        let done = lock(&self.done);
-        let mut live: Vec<Record> = done
-            .iter()
-            .map(|(&key, result)| {
-                let (tag, body) = match result {
-                    Done::Row(row) => ("row", row_body(row)),
-                    Done::Campaign(body) => ("campaign", body.to_string()),
-                };
-                Record {
-                    key,
-                    tag: tag.to_string(),
-                    extra: String::new(),
-                    body,
-                }
-            })
-            .collect();
-        for (&(key, start, end), body) in lock(&self.chunks).iter() {
-            if !done.contains_key(&key) {
-                live.push(Record {
-                    key,
-                    tag: "chunk".to_string(),
-                    extra: format!("{start}..{end}"),
-                    body: body.clone(),
-                });
-            }
-        }
-        drop(done);
-        for (&key, progress) in lock(&self.sweeps).iter() {
-            let mut chain = CHAIN_SEED;
-            for (i, body) in progress.bodies.iter().enumerate() {
-                chain = crc32_continue(chain, body.as_bytes());
-                live.push(Record {
-                    key,
-                    tag: "sweep-row".to_string(),
-                    extra: format!("{i}|{chain:08x}"),
-                    body: body.clone(),
-                });
-            }
-            if progress.done {
-                live.push(Record {
-                    key,
-                    tag: "sweep-done".to_string(),
-                    extra: format!("{}|{chain:08x}", progress.bodies.len()),
-                    body: String::new(),
-                });
-            }
-        }
-        live
     }
 
     fn worker_loop(&self) {
@@ -841,6 +792,61 @@ impl Inner {
             replayed,
         }))
     }
+}
+
+/// Every record still worth keeping across a rotation, built one at a
+/// time as the rotation writes it: final results, chunks of campaigns
+/// that have no final record yet, and each sweep's durable rows (plus
+/// its terminal record once it has one).
+fn live_records<'a>(
+    done: &'a HashMap<u64, Done>,
+    chunks: &'a HashMap<(u64, usize, usize), String>,
+    sweeps: &'a HashMap<u64, SweepProgress>,
+) -> impl Iterator<Item = Record> + 'a {
+    let finals = done.iter().map(|(&key, result)| {
+        let (tag, body) = match result {
+            Done::Row(row) => ("row", row_body(row)),
+            Done::Campaign(body) => ("campaign", body.to_string()),
+        };
+        Record {
+            key,
+            tag: tag.to_string(),
+            extra: String::new(),
+            body,
+        }
+    });
+    let open_chunks = chunks
+        .iter()
+        .filter(|(&(key, ..), _)| !done.contains_key(&key))
+        .map(|(&(key, start, end), body)| Record {
+            key,
+            tag: "chunk".to_string(),
+            extra: format!("{start}..{end}"),
+            body: body.clone(),
+        });
+    let sweep_records = sweeps.iter().flat_map(|(&key, progress)| {
+        let rows = progress
+            .bodies
+            .iter()
+            .enumerate()
+            .scan(CHAIN_SEED, move |chain, (i, body)| {
+                *chain = crc32_continue(*chain, body.as_bytes());
+                Some(Record {
+                    key,
+                    tag: "sweep-row".to_string(),
+                    extra: format!("{i}|{:08x}", *chain),
+                    body: body.clone(),
+                })
+            });
+        let terminal = progress.done.then(|| Record {
+            key,
+            tag: "sweep-done".to_string(),
+            extra: format!("{}|{:08x}", progress.bodies.len(), progress.chain),
+            body: String::new(),
+        });
+        rows.chain(terminal)
+    });
+    finals.chain(open_chunks).chain(sweep_records)
 }
 
 /// The flat-object body (no braces) a result row journals as.
